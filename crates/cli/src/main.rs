@@ -8,9 +8,12 @@
 //!                [seed=0] [out=instance.json]
 //!     Generate a synthetic instance and write it as JSON.
 //!
-//! mrls schedule  [in=instance.json] [allocator=auto|lp|sp|independent|min-time|min-area|min-local-max]
+//! mrls schedule  [in=FILE] [n=40] [d=3] [p=16] [dag=layered] [seed=0]
+//!                [allocator=auto|lp|sp|independent|min-time|min-area|min-local-max]
 //!                [priority=critical-path|fifo|longest-time|largest-area] [gantt=true]
-//!     Schedule an instance file with the paper's algorithm and print a report.
+//!     Schedule an instance file (or, without `in=`, a generated instance)
+//!     with the paper's algorithm and print a report. An `in=` file that
+//!     cannot be read or parsed is an error.
 //!
 //! mrls compare   [n=40] [d=3] [p=16] [dag=layered] [seeds=5]
 //!     Generate instances and compare mrls against the rigid/sequential baselines.
@@ -112,7 +115,17 @@ fn main() {
             .and_then(|kv| cmd_generate(&kv)),
         "schedule" => parse_kv(
             &args[1..],
-            &["in", "allocator", "priority", "gantt", "seed"],
+            &[
+                "in",
+                "n",
+                "d",
+                "p",
+                "dag",
+                "seed",
+                "allocator",
+                "priority",
+                "gantt",
+            ],
         )
         .and_then(|kv| cmd_schedule(&kv)),
         "compare" => {
@@ -243,7 +256,8 @@ fn print_usage() {
         "mrls — multi-resource list scheduling of moldable workflows (ICPP 2021 reproduction)\n\
          usage:\n\
          \u{20}  mrls generate [n=40] [d=3] [p=16] [dag=layered] [seed=0] [out=instance.json]\n\
-         \u{20}  mrls schedule [in=instance.json] [allocator=auto] [priority=critical-path] [gantt=true]\n\
+         \u{20}  mrls schedule [in=FILE|n=40 d=3 p=16 dag=layered seed=0] [allocator=auto]\n\
+         \u{20}                [priority=critical-path] [gantt=true]\n\
          \u{20}  mrls compare  [n=40] [d=3] [p=16] [dag=layered] [seeds=5]\n\
          \u{20}  mrls simulate [in=FILE|n=40 d=3 p=16 dag=layered seed=0] [policy=reactive] [noise=mult]\n\
          \u{20}                [sigma=0.3] [arrivals=none] [drop=none] [simseed=0] [out=trace.json]\n\
@@ -375,6 +389,26 @@ fn build_recipe(kv: &HashMap<String, String>) -> Result<InstanceRecipe, String> 
     })
 }
 
+/// The instance a command works on: the file named by `key`, or, without
+/// it, one generated from the recipe keys (`n`, `d`, `p`, `dag`, `seed`). A
+/// file that cannot be read or parsed is an error, never a fallback, and
+/// recipe keys next to the file are rejected because they would do nothing.
+fn load_instance(kv: &HashMap<String, String>, key: &str) -> Result<Instance, String> {
+    let Some(path) = kv.get(key) else {
+        return Ok(build_recipe(kv)?.generate(get(kv, "seed", 0)?).instance);
+    };
+    if let Some(k) = ["n", "d", "p", "dag", "seed"]
+        .into_iter()
+        .find(|k| kv.contains_key(*k))
+    {
+        return Err(format!(
+            "key `{k}` has no effect when `{key}=` loads an instance file"
+        ));
+    }
+    let json = std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
+    Instance::from_json(&json).map_err(|e| format!("could not parse {path}: {e}"))
+}
+
 const ALLOCATOR_CHOICES: &[(&str, AllocatorKind)] = &[
     ("auto", AllocatorKind::Auto),
     ("lp", AllocatorKind::LpRounding),
@@ -422,22 +456,7 @@ fn cmd_generate(kv: &HashMap<String, String>) -> Result<i32, String> {
 }
 
 fn cmd_schedule(kv: &HashMap<String, String>) -> Result<i32, String> {
-    let path = kv
-        .get("in")
-        .cloned()
-        .unwrap_or_else(|| "instance.json".to_string());
-    let instance = match std::fs::read_to_string(&path)
-        .map_err(|e| e.to_string())
-        .and_then(|s| Instance::from_json(&s).map_err(|e| e.to_string()))
-    {
-        Ok(i) => i,
-        Err(e) => {
-            // Fall back to a generated instance so the command is usable
-            // without a file.
-            eprintln!("could not read {path} ({e}); generating a default instance instead");
-            build_recipe(kv)?.generate(get(kv, "seed", 0)?).instance
-        }
-    };
+    let instance = load_instance(kv, "in")?;
     let allocator = get_choice(kv, "allocator", ALLOCATOR_CHOICES, AllocatorKind::Auto)?;
     let priority = priority_rule(kv)?;
     let config = MrlsConfig {
@@ -530,15 +549,6 @@ fn cmd_compare(kv: &HashMap<String, String>) -> Result<i32, String> {
 
 fn cmd_simulate(kv: &HashMap<String, String>) -> Result<i32, String> {
     // Keys that would silently do nothing in the chosen mode are rejected.
-    if kv.contains_key("in") {
-        for k in ["n", "d", "p", "dag", "seed"] {
-            if kv.contains_key(k) {
-                return Err(format!(
-                    "key `{k}` has no effect when `in=` loads an instance file"
-                ));
-            }
-        }
-    }
     if kv.contains_key("plan") {
         for k in ["allocator", "priority"] {
             if kv.contains_key(k) {
@@ -550,14 +560,7 @@ fn cmd_simulate(kv: &HashMap<String, String>) -> Result<i32, String> {
     }
 
     // 1. The instance: an explicit file, or a generated one.
-    let instance = match kv.get("in") {
-        Some(path) => std::fs::read_to_string(path)
-            .map_err(|e| format!("could not read {path}: {e}"))
-            .and_then(|s| {
-                Instance::from_json(&s).map_err(|e| format!("could not parse {path}: {e}"))
-            })?,
-        None => build_recipe(kv)?.generate(get(kv, "seed", 0)?).instance,
-    };
+    let instance = load_instance(kv, "in")?;
 
     // 2. The plan: loaded from a previous export, or computed fresh.
     let planned: Schedule = match kv.get("plan") {
@@ -1045,28 +1048,12 @@ fn cmd_trace_export(kv: &HashMap<String, String>) -> Result<i32, String> {
 }
 
 fn cmd_explain(kv: &HashMap<String, String>) -> Result<i32, String> {
-    if kv.contains_key("instance") {
-        for k in ["n", "d", "p", "dag", "seed"] {
-            if kv.contains_key(k) {
-                return Err(format!(
-                    "key `{k}` has no effect when `instance=` loads an instance file"
-                ));
-            }
-        }
-    }
     let input: String = get(kv, "in", "trace.json".to_string())?;
     let json =
         std::fs::read_to_string(&input).map_err(|e| format!("could not read {input}: {e}"))?;
     let trace = mrls_sim::RealizedTrace::from_json(&json)
         .map_err(|e| format!("{input} is not a realized trace: {e}"))?;
-    let instance = match kv.get("instance") {
-        Some(path) => std::fs::read_to_string(path)
-            .map_err(|e| format!("could not read {path}: {e}"))
-            .and_then(|s| {
-                Instance::from_json(&s).map_err(|e| format!("could not parse {path}: {e}"))
-            })?,
-        None => build_recipe(kv)?.generate(get(kv, "seed", 0)?).instance,
-    };
+    let instance = load_instance(kv, "instance")?;
     // Without engine-recorded readiness (a standalone trace file), the
     // analyzer derives it from admission and predecessor finish times.
     let report = mrls_sim::explain(&trace, &instance, None, None)

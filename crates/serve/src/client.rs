@@ -18,7 +18,7 @@ use crate::flight::RoundRecord;
 use crate::metrics::MetricsSnapshot;
 use crate::protocol::{
     read_frame, write_message, DrainReport, QuarantineEntry, Request, RequestBody, Response,
-    ResponseBody, DEFAULT_MAX_LINE_BYTES,
+    ResponseBody, MAX_REPLY_LINE_BYTES,
 };
 use mrls_model::MoldableJob;
 use std::io::BufReader;
@@ -202,7 +202,7 @@ impl Client {
             self.conn = None;
             return Err(ClientError::Disconnected(format!("send failed: {e}")));
         }
-        let line = match read_frame(&mut conn.reader, DEFAULT_MAX_LINE_BYTES) {
+        let line = match read_frame(&mut conn.reader, MAX_REPLY_LINE_BYTES) {
             Ok(Some(line)) => line,
             Ok(None) => {
                 self.conn = None;

@@ -15,13 +15,13 @@
 //!   window into one scheduling round, with an admission limit answered by
 //!   backpressure replies ([`IngestQueue`]).
 //! * [`service`] — the core: owns the growing world and **one persistent**
-//!   `mrls-sim` [`PersistentRun`](mrls_sim::PersistentRun) carried across
-//!   rounds; pending jobs are re-planned each round and the planner output
-//!   is diffed against the in-flight plan, while processed engine events are
-//!   harvested into the ledger so per-round cost stays flat in the round
-//!   index ([`ServiceCore`]). The original checkpoint→clone→resume path is
-//!   preserved as [`naive::NaiveService`], the reference the differential
-//!   tests compare against.
+//!   `mrls-sim` [`SimRun`](mrls_sim::SimRun) carried across rounds; pending
+//!   jobs are re-planned each round and the planner output is diffed against
+//!   the in-flight plan, while processed engine events are harvested into the
+//!   ledger so per-round cost stays flat in the round index ([`ServiceCore`]).
+//!   The original checkpoint→clone→resume path is preserved as
+//!   [`naive::NaiveService`], the reference the differential tests compare
+//!   against.
 //! * [`metrics`] — per-tenant counters queryable over the protocol and
 //!   dumpable as JSON ([`MetricsSnapshot`]), plus the harvested-event
 //!   archive ([`EventLedger`]).

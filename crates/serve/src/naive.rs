@@ -3,10 +3,10 @@
 //!
 //! [`NaiveService`] rebuilds the world every batching round — it re-creates
 //! the full `Instance` (cloning every admitted job), rebuilds the complete
-//! plan, and resumes a fresh [`SimRun`] from the previous round's
-//! [`SimSnapshot`], whose event log grows without bound. That makes each
-//! round O(history) and a long-lived server O(n²) — the exact behaviour the
-//! incremental [`ServiceCore`](crate::ServiceCore) replaces.
+//! plan, and moves both into a fresh [`SimRun`] resumed from the previous
+//! round's [`SimSnapshot`], whose event log grows without bound. That makes
+//! each round O(history) and a long-lived server O(n²) — the exact behaviour
+//! the incremental [`ServiceCore`](crate::ServiceCore) replaces.
 //!
 //! It stays in the tree (not under `#[cfg(test)]`) for two reasons:
 //!
@@ -460,19 +460,19 @@ impl NaiveService {
 
         let mut run = match (&self.snapshot, self.perturber.take()) {
             (None, _) => SimRun::start(
-                &instance,
-                &plan,
+                instance,
+                plan,
                 self.config.seed,
                 self.config.perturbation.clone(),
                 None,
                 vec![false; n],
             ),
             (Some(snapshot), Some(perturber)) => {
-                SimRun::resume_with_perturber(&instance, &plan, snapshot, perturber, None)
+                SimRun::resume_with_perturber(instance, plan, snapshot, perturber, None)
             }
             (Some(snapshot), None) => SimRun::resume(
-                &instance,
-                &plan,
+                instance,
+                plan,
                 snapshot,
                 self.config.perturbation.clone(),
                 None,

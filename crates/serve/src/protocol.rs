@@ -23,6 +23,13 @@ use std::io::{BufRead, Read, Write};
 /// Default cap on the byte length of one protocol line (1 MiB).
 pub const DEFAULT_MAX_LINE_BYTES: usize = 1 << 20;
 
+/// Cap on the byte length of one reply line read by the [`crate::Client`]
+/// (256 MiB), separate from the server's request cap: a drain reply carries
+/// the whole realized trace, and a compact drain report takes about 330
+/// bytes per job, so this admits the drain of roughly 800 000 jobs while
+/// still bounding what a misbehaving server can make the client buffer.
+pub(crate) const MAX_REPLY_LINE_BYTES: usize = 256 << 20;
+
 /// One client request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {

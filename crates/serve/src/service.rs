@@ -5,7 +5,7 @@
 //! changes are stamped with a single virtual time (`max(engine now, round ×
 //! tick)` — deterministic in the submission order, never wall clock), fed
 //! through a long-lived [`ChannelFeeder`], and a **persistent**
-//! [`PersistentRun`] is driven forward. Pending jobs are (re-)planned with
+//! [`SimRun`] is driven forward. Pending jobs are (re-)planned with
 //! the paper's two-phase scheduler against the machine's *current*
 //! capacities; the planner output is diffed against the in-flight plan
 //! (`mrls_core::diff_plan_entries`) so unchanged placements are not
@@ -36,8 +36,8 @@ use mrls_core::{diff_plan_entries, MrlsConfig, MrlsScheduler, Schedule, Schedule
 use mrls_dag::Dag;
 use mrls_model::{Allocation, Instance, MoldableJob, SystemConfig};
 use mrls_sim::{
-    ChannelFeeder, ChannelSource, FailCause, FailurePlan, PersistentRun, PerturbationModel, Policy,
-    PolicyKind, RealizedTrace, SimSnapshot, TraceEvent,
+    ChannelFeeder, ChannelSource, FailCause, FailurePlan, PerturbationModel, Policy, PolicyKind,
+    RealizedTrace, SimRun, SimSnapshot, TraceEvent,
 };
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -365,7 +365,7 @@ pub struct ServiceCore {
     capacities_max: Vec<u64>,
     /// The live engine world, created at the first round and kept across
     /// rounds (never cloned, never replayed).
-    run: Option<PersistentRun>,
+    run: Option<SimRun>,
     /// The **persistent policy instance** driven inside every round: built
     /// once, refreshed between rounds with the incremental
     /// [`Policy::on_plan_update`] hook over the pending frontier — O(live)
@@ -649,7 +649,7 @@ impl ServiceCore {
                 })
                 .collect(),
         );
-        let mut run = PersistentRun::resume(
+        let mut run = SimRun::resume(
             instance,
             plan,
             &state.snapshot,
@@ -1295,7 +1295,7 @@ impl ServiceCore {
                 })
                 .collect(),
         );
-        let mut run = PersistentRun::resume(
+        let mut run = SimRun::resume(
             instance,
             plan,
             &snapshot,
@@ -1581,7 +1581,7 @@ impl ServiceCore {
             // planned from scratch and installed as plan placeholders so the
             // uniform diff-and-apply below sees them as fresh.
             let plan = Schedule::new((0..n).map(|j| placeholder_entry(j, d)).collect());
-            let mut run = PersistentRun::new(
+            let mut run = SimRun::start(
                 instance,
                 plan,
                 self.config.seed,

@@ -160,7 +160,10 @@ fn retry_and_quarantine_counters_reach_query_metrics() {
 
     let counter = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
     let failed = counter("serve.retry.failed_attempts");
-    assert!(failed > 0, "the 50% failure plan must produce failed attempts");
+    assert!(
+        failed > 0,
+        "the 50% failure plan must produce failed attempts"
+    );
     assert_eq!(
         counter("serve.quarantine.jobs"),
         quarantined,

@@ -4,9 +4,9 @@
 //! feasible realized schedule, and be **byte-identical** across same-order
 //! runs.
 
-use mrls_serve::{Client, DrainReport, ServeConfig, Server};
+use mrls_serve::{Client, DrainReport, ServeConfig, Server, DEFAULT_MAX_LINE_BYTES};
 use mrls_sim::{PolicyKind, TraceEvent};
-use mrls_workload::InstanceRecipe;
+use mrls_workload::{DagRecipe, InstanceRecipe, JobRecipe, SystemRecipe};
 use std::time::Duration;
 
 /// Instantiates the mixed 3-tenant stream against a fresh server and drains
@@ -161,6 +161,43 @@ fn interleaved_clients_all_complete() {
     assert_eq!(report.submitted, 18);
     assert_eq!(report.completed, 18);
     assert!(report.feasible);
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn drain_reply_larger_than_the_request_cap_is_read() {
+    let handle = Server::spawn(
+        ServeConfig {
+            capacities: vec![8, 8],
+            policy: PolicyKind::ReactiveList,
+            batch_window: Duration::ZERO,
+            ..ServeConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut client = Client::connect(handle.addr(), "bulk").unwrap();
+    let n = 4000;
+    let jobs = InstanceRecipe {
+        system: SystemRecipe::Uniform { d: 2, p: 8 },
+        dag: DagRecipe::Independent { n },
+        jobs: JobRecipe::default_mixed(),
+    }
+    .generate(5)
+    .instance
+    .jobs;
+    assert_eq!(client.submit_dag(jobs, vec![]).unwrap().len(), n);
+
+    let report = client.drain().unwrap();
+    assert_eq!(report.completed, n as u64);
+    assert!(report.feasible);
+    // The reply is one line well beyond the server's request-line cap.
+    let reply_bytes = serde_json::to_string(&report).unwrap().len();
+    assert!(
+        reply_bytes > DEFAULT_MAX_LINE_BYTES,
+        "drain reply of {reply_bytes} bytes"
+    );
     client.shutdown().unwrap();
     handle.join();
 }

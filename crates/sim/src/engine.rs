@@ -8,16 +8,12 @@
 //! decides *which* ready jobs start, with which allocations, whenever the
 //! world changes.
 //!
-//! The run loop itself lives in a borrow-free core shared by two drivers:
-//!
-//! * [`SimRun`] borrows the instance and plan — the right shape for batch
-//!   experiments where the world is fixed up front. It can be paused,
-//!   checkpointed (serialisable [`SimSnapshot`]) and resumed — including
-//!   against a *grown* instance.
-//! * [`PersistentRun`] **owns** the instance and plan and can grow them in
-//!   place ([`PersistentRun::grow`], [`PersistentRun::apply_plan_updates`]),
-//!   which is how the `mrls-serve` online service keeps one live world
-//!   across batching rounds instead of checkpoint→clone→resume each round.
+//! An in-flight run is a [`SimRun`], which owns its instance and plan. It
+//! can be paused, checkpointed (serialisable [`SimSnapshot`]) and resumed —
+//! including against a *grown* instance — and it can grow its world in place
+//! ([`SimRun::grow`], [`SimRun::apply_plan_updates`]), which is how the
+//! `mrls-serve` online service keeps one live world across batching rounds
+//! instead of checkpoint→clone→resume each round.
 //!
 //! Processed trace events can be **harvested** out of the retained log
 //! ([`SimRun::take_harvested_events`]): the run then only carries live state
@@ -57,7 +53,7 @@ pub enum SimError {
     /// A checkpoint does not match the instance/plan it is resumed against.
     InvalidSnapshot(String),
     /// An in-place world growth or plan update is inconsistent with the
-    /// running world (see [`PersistentRun::grow`]).
+    /// running world (see [`SimRun::grow`]).
     InvalidGrowth(String),
     /// A policy asked the engine to do something infeasible.
     PolicyViolation {
@@ -281,7 +277,7 @@ impl Simulator {
         policy: &mut dyn Policy,
     ) -> Result<RealizedTrace, SimError> {
         let plan = normalize_plan(instance, plan)?;
-        let (mut run, mut source) = self.start(instance, &plan)?;
+        let (mut run, mut source) = self.start_owned(instance.clone(), plan)?;
         match run.drive(policy, &mut source)? {
             RunStatus::Complete => Ok(run.into_trace(policy.label())),
             RunStatus::Paused | RunStatus::Idle => Err(SimError::Stalled {
@@ -293,17 +289,26 @@ impl Simulator {
 
     /// Begins an incremental run of `plan` (which must be job-indexed — see
     /// [`normalize_plan`]) under the configured scenario, returning the
-    /// paused driver plus the scenario's event source. Drive it with
-    /// [`SimRun::drive`] / [`SimRun::drive_until`].
-    pub fn start<'a>(
+    /// paused driver (holding its own copy of the instance and plan) plus
+    /// the scenario's event source. Drive it with [`SimRun::drive`] /
+    /// [`SimRun::drive_until`].
+    pub fn start(
         &self,
-        instance: &'a Instance,
-        plan: &'a Schedule,
-    ) -> Result<(SimRun<'a>, ScenarioSource), SimError> {
+        instance: &Instance,
+        plan: &Schedule,
+    ) -> Result<(SimRun, ScenarioSource), SimError> {
+        self.start_owned(instance.clone(), plan.clone())
+    }
+
+    fn start_owned(
+        &self,
+        instance: Instance,
+        plan: Schedule,
+    ) -> Result<(SimRun, ScenarioSource), SimError> {
         let n = instance.num_jobs();
         self.config
             .scenario
-            .validate(instance)
+            .validate(&instance)
             .map_err(SimError::InvalidScenario)?;
         let released: Vec<bool> = (0..n)
             .map(|j| self.config.scenario.release_time(j) <= 0.0)
@@ -320,22 +325,23 @@ impl Simulator {
     }
 
     /// Resumes a checkpointed run against the configured scenario, returning
-    /// the driver plus a scenario source fast-forwarded past every event the
-    /// checkpointed run already consumed.
-    pub fn resume<'a>(
+    /// the driver (holding its own copy of the instance and plan) plus a
+    /// scenario source fast-forwarded past every event the checkpointed run
+    /// already consumed.
+    pub fn resume(
         &self,
-        instance: &'a Instance,
-        plan: &'a Schedule,
+        instance: &Instance,
+        plan: &Schedule,
         snapshot: &SimSnapshot,
-    ) -> Result<(SimRun<'a>, ScenarioSource), SimError> {
+    ) -> Result<(SimRun, ScenarioSource), SimError> {
         let n = instance.num_jobs();
         self.config
             .scenario
             .validate(instance)
             .map_err(SimError::InvalidScenario)?;
         let run = SimRun::resume(
-            instance,
-            plan,
+            instance.clone(),
+            plan.clone(),
             snapshot,
             self.config.perturbation.clone(),
             self.config.max_events,
@@ -496,8 +502,9 @@ impl SimSnapshot {
 }
 
 /// The borrow-free core of an in-flight simulation: the world state, the
-/// per-job realized record, and the retained event log. Both drivers
-/// ([`SimRun`], [`PersistentRun`]) wrap it and pass the instance/plan in.
+/// per-job realized record, and the retained event log. [`SimRun`] wraps it
+/// and passes its instance/plan in, so the drive loop can mutate the core
+/// while reading the world.
 #[derive(Debug, Clone)]
 struct RunCore {
     seed: u64,
@@ -1302,100 +1309,53 @@ impl RunCore {
         });
         Ok(())
     }
-
-    /// Assembles the realized trace, prepending `prefix` (previously
-    /// harvested events) to the retained log. Meaningful after
-    /// [`RunStatus::Complete`]; unfinished jobs would leave NaN
-    /// starts/finishes in the schedule.
-    fn build_trace(
-        &self,
-        instance: &Instance,
-        plan: &Schedule,
-        policy_label: &str,
-        prefix: &[TraceEvent],
-    ) -> RealizedTrace {
-        let n = instance.num_jobs();
-        let plan_allocs = plan.allocations();
-        let jobs: Vec<ScheduledJob> = (0..n)
-            .map(|j| ScheduledJob {
-                job: j,
-                start: self.start[j],
-                finish: self.finish[j],
-                alloc: self.alloc_used[j].clone(),
-            })
-            .collect();
-        let realized = Schedule::new(jobs);
-        // Abandoned jobs never ran: their NaN starts/finishes are excluded
-        // from the slowdown statistics rather than poisoning the means.
-        let slowdowns: Vec<f64> = (0..n)
-            .map(|j| (self.finish[j] - self.start[j]) / self.nominal[j])
-            .filter(|s| s.is_finite())
-            .collect();
-        let events: Vec<TraceEvent> = prefix.iter().chain(self.events.iter()).cloned().collect();
-        let num_reschedules = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Rescheduled { .. }))
-            .count();
-        let num_realloc_jobs = (0..n)
-            .filter(|&j| self.alloc_used[j] != plan_allocs[j])
-            .count();
-        let stats = StressStats {
-            planned_makespan: plan.makespan,
-            realized_makespan: realized.makespan,
-            stretch: if plan.makespan > 0.0 {
-                realized.makespan / plan.makespan
-            } else {
-                1.0
-            },
-            mean_slowdown: if !slowdowns.is_empty() {
-                slowdowns.iter().sum::<f64>() / slowdowns.len() as f64
-            } else {
-                1.0
-            },
-            max_slowdown: if !slowdowns.is_empty() {
-                slowdowns.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-            } else {
-                1.0
-            },
-            num_reschedules,
-            num_realloc_jobs,
-        };
-        RealizedTrace {
-            policy: policy_label.to_string(),
-            seed: self.seed,
-            events,
-            realized,
-            stats,
-        }
-    }
 }
 
-/// An in-flight simulation borrowing its instance and plan: the world state
-/// plus the per-job realized record, driven incrementally against an
-/// [`EventSource`].
+/// An in-flight simulation: the world state plus the per-job realized
+/// record, driven incrementally against an [`EventSource`]. The run **owns**
+/// its instance and plan, so it can outlive the code that built them: it
+/// can be paused, checkpointed and resumed, and it can be kept across
+/// interaction rounds while its world grows in place — no
+/// checkpoint→clone→resume cycle, no O(history) copying. This is the engine
+/// shape behind both [`Simulator::run`] and the `mrls-serve` service cores.
+///
+/// Mutations between drive calls:
+///
+/// * [`SimRun::grow`] appends jobs (and their precedence edges and plan
+///   entries) and raises the system's capacity bounds;
+/// * [`SimRun::sync_realized`] freezes the realized placement of started
+///   jobs into the plan (what a rebuilt plan would contain);
+/// * [`SimRun::apply_plan_updates`] installs re-planned placements for
+///   unstarted jobs — callers diff the planner output first
+///   (`mrls_core::diff_plan_entries`) so unchanged placements are not
+///   re-applied.
+///
+/// Every mutation validates its whole input before writing anything: on
+/// error the run (instance, plan and checkpointed state) is unchanged.
 #[derive(Debug, Clone)]
-pub struct SimRun<'a> {
-    instance: &'a Instance,
-    plan: &'a Schedule,
+pub struct SimRun {
+    instance: Instance,
+    plan: Schedule,
     core: RunCore,
 }
 
-impl<'a> SimRun<'a> {
+impl SimRun {
     /// Begins a run at time zero. `plan` must be job-indexed (entry `j`
     /// describes job `j` — see [`normalize_plan`]); `released` flags the jobs
     /// available before the first external event.
     pub fn start(
-        instance: &'a Instance,
-        plan: &'a Schedule,
+        instance: Instance,
+        plan: Schedule,
         seed: u64,
         perturbation: PerturbationModel,
         max_events: Option<usize>,
         released: Vec<bool>,
     ) -> Result<Self, SimError> {
+        let core = RunCore::start(&instance, &plan, seed, perturbation, max_events, released)?;
         Ok(SimRun {
             instance,
             plan,
-            core: RunCore::start(instance, plan, seed, perturbation, max_events, released)?,
+            core,
         })
     }
 
@@ -1410,8 +1370,8 @@ impl<'a> SimRun<'a> {
     /// after round can keep the live [`Perturber`] instead via
     /// [`SimRun::resume_with_perturber`].
     pub fn resume(
-        instance: &'a Instance,
-        plan: &'a Schedule,
+        instance: Instance,
+        plan: Schedule,
         snapshot: &SimSnapshot,
         perturbation: PerturbationModel,
         max_events: Option<usize>,
@@ -1424,22 +1384,34 @@ impl<'a> SimRun<'a> {
     /// Like [`SimRun::resume`], but continues an already fast-forwarded
     /// perturbation stream instead of replaying it from the seed.
     pub fn resume_with_perturber(
-        instance: &'a Instance,
-        plan: &'a Schedule,
+        instance: Instance,
+        plan: Schedule,
         snapshot: &SimSnapshot,
         perturber: Perturber,
         max_events: Option<usize>,
     ) -> Result<Self, SimError> {
+        let core = RunCore::resume(&instance, &plan, snapshot, perturber, max_events)?;
         Ok(SimRun {
             instance,
             plan,
-            core: RunCore::resume(instance, plan, snapshot, perturber, max_events)?,
+            core,
         })
+    }
+
+    /// The instance being executed.
+    pub fn instance(&self) -> &Instance {
+        &self.instance
+    }
+
+    /// The in-flight plan (realized entries for synced started jobs, latest
+    /// applied placements for pending ones).
+    pub fn plan(&self) -> &Schedule {
+        &self.plan
     }
 
     /// The observable world state.
     pub fn state(&self) -> SimState<'_> {
-        self.core.state(self.instance, self.plan)
+        self.core.state(&self.instance, &self.plan)
     }
 
     /// Current virtual time.
@@ -1471,7 +1443,7 @@ impl<'a> SimRun<'a> {
     /// Moves the retained event log out of the run and advances the
     /// `harvested_until` watermark to the current virtual time. Subsequent
     /// checkpoints carry only events processed after this call; pass the
-    /// harvested prefix back to [`SimRun::into_trace_with_prefix`] when
+    /// harvested prefix back to [`SimRun::trace_with_prefix`] when
     /// assembling the full trace.
     pub fn take_harvested_events(&mut self) -> Vec<TraceEvent> {
         self.core.take_harvested()
@@ -1484,9 +1456,13 @@ impl<'a> SimRun<'a> {
         &self.core.perturber
     }
 
-    /// Installs a failure plan on the paused run, replaying the failure
-    /// stream from the seed to its current position (see
-    /// [`PersistentRun::set_failures`]).
+    /// Installs a failure plan on the paused run. Runs start failure-free;
+    /// call this right after [`SimRun::start`] / [`SimRun::resume`] (the
+    /// failure stream is replayed from the seed to the checkpointed
+    /// position, mirroring how [`SimRun::resume`] replays the perturbation
+    /// stream). Failure injection requires a reactive policy — a static
+    /// cursor policy deadlocks when its cursor reaches a job that is in
+    /// backoff.
     pub fn set_failures(&mut self, plan: FailurePlan) {
         let sampler = FailureSampler::resume(
             plan.model.clone(),
@@ -1497,7 +1473,8 @@ impl<'a> SimRun<'a> {
     }
 
     /// Like [`SimRun::set_failures`], but continues an already
-    /// fast-forwarded failure stream instead of replaying it.
+    /// fast-forwarded failure stream (kept live across rounds) instead of
+    /// replaying it from the seed.
     pub fn set_failures_with_sampler(
         &mut self,
         plan: FailurePlan,
@@ -1538,6 +1515,8 @@ impl<'a> SimRun<'a> {
     }
 
     /// Captures a fully owned, serialisable checkpoint of the paused run.
+    /// After harvesting, the checkpoint is truncated: it carries only the
+    /// retained event suffix plus the harvest watermark.
     pub fn checkpoint(&self) -> SimSnapshot {
         self.core.checkpoint()
     }
@@ -1552,229 +1531,11 @@ impl<'a> SimRun<'a> {
         source: &mut dyn EventSource,
     ) -> Result<RunStatus, SimError> {
         self.core
-            .drive_inner(self.instance, self.plan, policy, source, None, true)
+            .drive_inner(&self.instance, &self.plan, policy, source, None, true)
     }
 
     /// Like [`SimRun::drive`], but stops (returning [`RunStatus::Paused`])
     /// before processing any event later than `t_stop`.
-    pub fn drive_until(
-        &mut self,
-        policy: &mut dyn Policy,
-        source: &mut dyn EventSource,
-        t_stop: f64,
-    ) -> Result<RunStatus, SimError> {
-        self.core
-            .drive_inner(self.instance, self.plan, policy, source, Some(t_stop), true)
-    }
-
-    /// Assembles the realized trace. Call after [`RunStatus::Complete`];
-    /// unfinished jobs would leave NaN starts/finishes in the schedule. If
-    /// events were harvested, the trace only covers the retained suffix —
-    /// use [`SimRun::into_trace_with_prefix`] to reattach the archive.
-    pub fn into_trace(self, policy_label: &str) -> RealizedTrace {
-        self.core
-            .build_trace(self.instance, self.plan, policy_label, &[])
-    }
-
-    /// Like [`SimRun::into_trace`], prepending previously harvested events so
-    /// the assembled log is complete again.
-    pub fn into_trace_with_prefix(
-        self,
-        policy_label: &str,
-        prefix: &[TraceEvent],
-    ) -> RealizedTrace {
-        self.core
-            .build_trace(self.instance, self.plan, policy_label, prefix)
-    }
-}
-
-/// An in-flight simulation that **owns** its world: the instance, the plan
-/// and the run state live together, so the run survives across interaction
-/// rounds and the world can grow in place — no checkpoint→clone→resume
-/// cycle, no O(history) copying. This is the engine shape behind the
-/// `mrls-serve` incremental service core.
-///
-/// Mutations between drive calls:
-///
-/// * [`PersistentRun::grow`] appends jobs (and their precedence edges and
-///   plan entries) and raises the system's capacity bounds;
-/// * [`PersistentRun::sync_realized`] freezes the realized placement of
-///   started jobs into the plan (what a rebuilt plan would contain);
-/// * [`PersistentRun::apply_plan_updates`] installs re-planned placements
-///   for unstarted jobs — callers diff the planner output first
-///   (`mrls_core::diff_plan_entries`) so unchanged placements are not
-///   re-applied.
-#[derive(Debug, Clone)]
-pub struct PersistentRun {
-    instance: Instance,
-    plan: Schedule,
-    core: RunCore,
-}
-
-impl PersistentRun {
-    /// Begins an owned run at time zero (see [`SimRun::start`]).
-    pub fn new(
-        instance: Instance,
-        plan: Schedule,
-        seed: u64,
-        perturbation: PerturbationModel,
-        max_events: Option<usize>,
-        released: Vec<bool>,
-    ) -> Result<Self, SimError> {
-        let core = RunCore::start(&instance, &plan, seed, perturbation, max_events, released)?;
-        Ok(PersistentRun {
-            instance,
-            plan,
-            core,
-        })
-    }
-
-    /// Resumes an owned run from a checkpoint (restart-after-crash; see
-    /// [`SimRun::resume`] for the grown-instance contract).
-    pub fn resume(
-        instance: Instance,
-        plan: Schedule,
-        snapshot: &SimSnapshot,
-        perturbation: PerturbationModel,
-        max_events: Option<usize>,
-    ) -> Result<Self, SimError> {
-        let perturber =
-            Perturber::resume(perturbation, snapshot.seed, snapshot.perturber_realizations);
-        let core = RunCore::resume(&instance, &plan, snapshot, perturber, max_events)?;
-        Ok(PersistentRun {
-            instance,
-            plan,
-            core,
-        })
-    }
-
-    /// The instance being executed.
-    pub fn instance(&self) -> &Instance {
-        &self.instance
-    }
-
-    /// The in-flight plan (realized entries for synced started jobs, latest
-    /// applied placements for pending ones).
-    pub fn plan(&self) -> &Schedule {
-        &self.plan
-    }
-
-    /// The observable world state.
-    pub fn state(&self) -> SimState<'_> {
-        self.core.state(&self.instance, &self.plan)
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> f64 {
-        self.core.world.now
-    }
-
-    /// Number of completed jobs.
-    pub fn num_completed(&self) -> usize {
-        self.core.num_completed
-    }
-
-    /// The retained trace events (everything since the last harvest).
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.core.events
-    }
-
-    /// Count of events harvested out of the retained log so far.
-    pub fn harvested_events(&self) -> usize {
-        self.core.harvested_events
-    }
-
-    /// Virtual-time watermark of the last harvest.
-    pub fn harvested_until(&self) -> f64 {
-        self.core.harvested_until
-    }
-
-    /// Moves the retained event log out of the run, advancing the watermark
-    /// (see [`SimRun::take_harvested_events`]).
-    pub fn take_harvested_events(&mut self) -> Vec<TraceEvent> {
-        self.core.take_harvested()
-    }
-
-    /// The perturbation stream in its current position.
-    pub fn perturber(&self) -> &Perturber {
-        &self.core.perturber
-    }
-
-    /// Installs a failure plan on the paused run. Runs start failure-free;
-    /// call this right after [`PersistentRun::new`] /
-    /// [`PersistentRun::resume`] (the failure stream is replayed from the
-    /// seed to the checkpointed position, mirroring how
-    /// [`PersistentRun::resume`] replays the perturbation stream). Failure
-    /// injection requires a reactive policy — a static cursor policy
-    /// deadlocks when its cursor reaches a job that is in backoff.
-    pub fn set_failures(&mut self, plan: FailurePlan) {
-        let sampler = FailureSampler::resume(
-            plan.model.clone(),
-            self.core.seed,
-            self.core.failure.attempts(),
-        );
-        self.core.install_failures(plan, sampler);
-    }
-
-    /// Like [`PersistentRun::set_failures`], but continues an already
-    /// fast-forwarded failure stream (kept live across rounds) instead of
-    /// replaying it from the seed.
-    pub fn set_failures_with_sampler(
-        &mut self,
-        plan: FailurePlan,
-        sampler: FailureSampler,
-    ) -> Result<(), SimError> {
-        if sampler.attempts() != self.core.failure.attempts() {
-            return Err(SimError::InvalidSnapshot(format!(
-                "failure sampler is at attempt {} but the run is at {}",
-                sampler.attempts(),
-                self.core.failure.attempts()
-            )));
-        }
-        self.core.install_failures(plan, sampler);
-        Ok(())
-    }
-
-    /// The failure stream in its current position.
-    pub fn failure_sampler(&self) -> &FailureSampler {
-        &self.core.failure
-    }
-
-    /// Per-job attempt counts (0 = never started).
-    pub fn attempts(&self) -> &[u32] {
-        &self.core.attempts
-    }
-
-    /// Number of abandoned jobs (retry budget exhausted, plus cascaded
-    /// descendants).
-    pub fn num_abandoned(&self) -> usize {
-        self.core.num_abandoned
-    }
-
-    /// Per-job virtual times at which each job became ready (NaN = not yet
-    /// ready — see [`SimRun::ready_times`]).
-    pub fn ready_times(&self) -> &[f64] {
-        &self.core.ready_time
-    }
-
-    /// Captures a fully owned, serialisable checkpoint of the paused run.
-    /// After harvesting, the checkpoint is truncated: it carries only the
-    /// retained event suffix plus the harvest watermark.
-    pub fn checkpoint(&self) -> SimSnapshot {
-        self.core.checkpoint()
-    }
-
-    /// Drives the run (see [`SimRun::drive`]).
-    pub fn drive(
-        &mut self,
-        policy: &mut dyn Policy,
-        source: &mut dyn EventSource,
-    ) -> Result<RunStatus, SimError> {
-        self.core
-            .drive_inner(&self.instance, &self.plan, policy, source, None, true)
-    }
-
-    /// Drives the run up to `t_stop` (see [`SimRun::drive_until`]).
     pub fn drive_until(
         &mut self,
         policy: &mut dyn Policy,
@@ -1792,7 +1553,7 @@ impl PersistentRun {
     }
 
     /// Drives the run *without* re-initialising the policy: unlike
-    /// [`PersistentRun::drive`], [`Policy::on_start`] is **not** called — the
+    /// [`SimRun::drive`], [`Policy::on_start`] is **not** called — the
     /// caller must have prepared the policy itself, either with an explicit
     /// `on_start` or, for a policy instance kept across rounds, with the
     /// incremental [`Policy::on_plan_update`] hook. `t_stop` limits the run
@@ -1817,8 +1578,8 @@ impl PersistentRun {
     /// valid), `jobs` are appended at the end, `edges` may only point into
     /// the appended block, and `entries` are the appended jobs' plan entries
     /// (placeholders are fine; they are replaced by the next
-    /// [`PersistentRun::apply_plan_updates`]). Appended jobs start
-    /// unreleased — feed them in as [`SourceEvent::Release`] events.
+    /// [`SimRun::apply_plan_updates`]). Appended jobs start unreleased —
+    /// feed them in as [`SourceEvent::Release`] events.
     pub fn grow(
         &mut self,
         system: SystemConfig,
@@ -1913,12 +1674,13 @@ impl PersistentRun {
     /// them. Call between drive calls (the plan must stay fixed during a
     /// drive so policies observe a consistent world).
     pub fn sync_realized(&mut self, jobs: &[usize]) -> Result<usize, SimError> {
+        let started = &self.core.world.started;
+        if let Some(&j) = jobs.iter().find(|&&j| started.get(j) != Some(&true)) {
+            return Err(SimError::InvalidGrowth(format!(
+                "job {j} has not started; only realized placements can be synced"
+            )));
+        }
         for &j in jobs {
-            if j >= self.instance.num_jobs() || !self.core.world.started[j] {
-                return Err(SimError::InvalidGrowth(format!(
-                    "job {j} has not started; only realized placements can be synced"
-                )));
-            }
             self.plan.jobs[j] = ScheduledJob {
                 job: j,
                 start: self.core.start[j],
@@ -1934,8 +1696,8 @@ impl PersistentRun {
 
     /// Installs re-planned placements for **unstarted** jobs (started jobs'
     /// placements are frozen history — sync them instead). Returns how many
-    /// entries were applied. Callers diff against [`PersistentRun::plan`]
-    /// first so unchanged placements are skipped.
+    /// entries were applied. Callers diff against [`SimRun::plan`] first so
+    /// unchanged placements are skipped.
     pub fn apply_plan_updates(&mut self, entries: &[ScheduledJob]) -> Result<usize, SimError> {
         for entry in entries {
             if entry.job >= self.instance.num_jobs() {
@@ -1967,9 +1729,81 @@ impl PersistentRun {
 
     /// Assembles the realized trace without consuming the run, prepending
     /// `prefix` (the harvested-event archive) to the retained log.
+    /// Meaningful after [`RunStatus::Complete`]; unfinished jobs would leave
+    /// NaN starts/finishes in the schedule.
     pub fn trace_with_prefix(&self, policy_label: &str, prefix: &[TraceEvent]) -> RealizedTrace {
-        self.core
-            .build_trace(&self.instance, &self.plan, policy_label, prefix)
+        let n = self.instance.num_jobs();
+        let plan_allocs = self.plan.allocations();
+        let jobs: Vec<ScheduledJob> = (0..n)
+            .map(|j| ScheduledJob {
+                job: j,
+                start: self.core.start[j],
+                finish: self.core.finish[j],
+                alloc: self.core.alloc_used[j].clone(),
+            })
+            .collect();
+        let realized = Schedule::new(jobs);
+        // Abandoned jobs never ran: their NaN starts/finishes are excluded
+        // from the slowdown statistics rather than poisoning the means.
+        let slowdowns: Vec<f64> = (0..n)
+            .map(|j| (self.core.finish[j] - self.core.start[j]) / self.core.nominal[j])
+            .filter(|s| s.is_finite())
+            .collect();
+        let events: Vec<TraceEvent> = prefix
+            .iter()
+            .chain(self.core.events.iter())
+            .cloned()
+            .collect();
+        let num_reschedules = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Rescheduled { .. }))
+            .count();
+        let num_realloc_jobs = (0..n)
+            .filter(|&j| self.core.alloc_used[j] != plan_allocs[j])
+            .count();
+        let stats = StressStats {
+            planned_makespan: self.plan.makespan,
+            realized_makespan: realized.makespan,
+            stretch: if self.plan.makespan > 0.0 {
+                realized.makespan / self.plan.makespan
+            } else {
+                1.0
+            },
+            mean_slowdown: if !slowdowns.is_empty() {
+                slowdowns.iter().sum::<f64>() / slowdowns.len() as f64
+            } else {
+                1.0
+            },
+            max_slowdown: if !slowdowns.is_empty() {
+                slowdowns.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
+            } else {
+                1.0
+            },
+            num_reschedules,
+            num_realloc_jobs,
+        };
+        RealizedTrace {
+            policy: policy_label.to_string(),
+            seed: self.core.seed,
+            events,
+            realized,
+            stats,
+        }
+    }
+
+    /// Consuming form of [`SimRun::trace_with_prefix`] without a prefix. If
+    /// events were harvested, the trace only covers the retained suffix.
+    pub fn into_trace(self, policy_label: &str) -> RealizedTrace {
+        self.trace_with_prefix(policy_label, &[])
+    }
+
+    /// Consuming form of [`SimRun::trace_with_prefix`].
+    pub fn into_trace_with_prefix(
+        self,
+        policy_label: &str,
+        prefix: &[TraceEvent],
+    ) -> RealizedTrace {
+        self.trace_with_prefix(policy_label, prefix)
     }
 }
 

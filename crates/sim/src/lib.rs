@@ -34,10 +34,10 @@
 //! [`ScenarioSource`] replays a pre-generated [`Scenario`], while
 //! [`ChannelSource`] is fed live over an `mpsc` channel (the `mrls-serve`
 //! online service, via the long-lived [`ChannelFeeder`]). The incremental
-//! driver ([`SimRun`]) can be paused, checkpointed to a serialisable
-//! [`SimSnapshot`], and resumed — even against an instance that has since
-//! grown by appended jobs. Its owned sibling [`PersistentRun`] keeps one
-//! live world across interaction rounds and grows it in place, and processed
+//! driver ([`SimRun`]) owns its instance and plan. It can be paused,
+//! checkpointed to a serialisable [`SimSnapshot`], and resumed — even
+//! against an instance that has since grown by appended jobs — or kept live
+//! across interaction rounds while its world grows in place. Processed
 //! events can be **harvested** out of the retained log so long-lived runs
 //! and their checkpoints stay O(live state) instead of O(history).
 //!
@@ -86,8 +86,8 @@ pub mod source;
 pub mod trace;
 
 pub use engine::{
-    normalize_plan, PersistentRun, RunStatus, RunningJob, SimConfig, SimError, SimRun, SimSnapshot,
-    SimState, SimWorld, Simulator,
+    normalize_plan, RunStatus, RunningJob, SimConfig, SimError, SimRun, SimSnapshot, SimState,
+    SimWorld, Simulator,
 };
 pub use explain::{explain, to_chrome_trace_with_blame, ExplainReport, GapReport};
 pub use failure::{FailCause, FailureModel, FailurePlan, FailureSampler, Outage, RetryPolicy};

@@ -82,7 +82,8 @@ pub trait Policy: std::fmt::Debug {
     /// make bit-identical decisions to a newly built instance observing the
     /// same state. Callers guarantee that plan entries of completed jobs
     /// hold their realized placements (the persistent-run round contract —
-    /// `PersistentRun::sync_realized` before the hook).
+    /// [`SimRun::sync_realized`](crate::SimRun::sync_realized) before the
+    /// hook).
     ///
     /// The default forwards to `on_start`, so external policies stay
     /// correct without implementing the incremental path.

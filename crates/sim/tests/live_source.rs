@@ -29,8 +29,8 @@ fn out_of_order_releases_idle_then_complete() {
         .schedule;
     let plan = normalize_plan(&instance, &plan).unwrap();
     let mut run = SimRun::start(
-        &instance,
-        &plan,
+        instance,
+        plan,
         0,
         PerturbationModel::None,
         None,
