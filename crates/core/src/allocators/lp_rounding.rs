@@ -82,7 +82,8 @@ impl LpRoundingAllocator {
         self.rho
     }
 
-    /// Builds and solves the LP relaxation.
+    /// Builds and solves the LP relaxation. Each optimal solve adds to the
+    /// obs counters `lp.solves` and `lp.pivots.{phase1,phase2,bland}`.
     pub fn solve_relaxation(
         instance: &Instance,
         profiles: &[JobProfile],
@@ -166,6 +167,12 @@ impl LpRoundingAllocator {
                 ))
             }
         };
+        if mrls_obs::enabled() {
+            mrls_obs::counter_add("lp.solves", 1);
+            mrls_obs::counter_add("lp.pivots.phase1", solution.pivots.phase1);
+            mrls_obs::counter_add("lp.pivots.phase2", solution.pivots.phase2);
+            mrls_obs::counter_add("lp.pivots.bland", solution.pivots.bland);
+        }
 
         let mut weights = Vec::with_capacity(n);
         let mut fractional_times = Vec::with_capacity(n);

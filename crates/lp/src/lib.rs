@@ -13,11 +13,24 @@
 //! * phase 1 drives artificial variables out of the basis (detecting
 //!   infeasibility), phase 2 optimises the real objective,
 //! * Dantzig pricing with an automatic switch to Bland's rule after a
-//!   degeneracy streak, which guarantees termination,
-//! * unboundedness detection.
+//!   degeneracy streak, which guarantees termination in exact arithmetic
+//!   (in floating point a solve can still end in
+//!   [`LpError::IterationLimit`]),
+//! * unboundedness detection,
+//! * per-solve pivot counts ([`PivotCounts`]: phase 1, phase 2, and pivots
+//!   chosen under Bland's rule) on every [`Solution`].
 //!
-//! The LPs built by the scheduler have a few hundred rows and a few thousand
-//! columns at most, which a dense tableau handles comfortably.
+//! Each iteration prices row by row, skipping rows whose basic cost is zero,
+//! into one reused reduced-cost buffer, and a pivot updates every other row
+//! only at the nonzero columns of the normalised pivot row (see
+//! [`simplex`]). A test-only copy of the column-by-column solver this one
+//! replaced pins it: on fixed-seed generated programs, including the
+//! scheduler's time–cost tradeoff relaxations, both return the same outcome,
+//! objective and solution, compared with `==`.
+//!
+//! The relaxations a 20-second `serve-dag` benchmark run solves average 360
+//! variables and 76 constraint rows, at most 738 × 139 (before slack and
+//! artificial columns), which a dense row-major tableau handles comfortably.
 //!
 //! ## Example
 //!
@@ -42,7 +55,9 @@
 #![warn(rust_2018_idioms)]
 
 pub mod problem;
+#[cfg(test)]
+mod reference;
 pub mod simplex;
 
 pub use problem::{Constraint, LinearProgram, LpError, Relation};
-pub use simplex::{LpOutcome, Solution};
+pub use simplex::{LpOutcome, PivotCounts, Solution};

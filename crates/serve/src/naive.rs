@@ -490,7 +490,7 @@ impl NaiveService {
                 None => run.set_failures(self.config.failures.clone()),
             }
         }
-        let mut policy = self.config.policy.build();
+        let mut policy = self.config.policy.build_with(&self.config.scheduler);
         if complete {
             run.drive(policy.as_mut(), &mut source)
         } else {

@@ -157,7 +157,8 @@ pub(crate) fn validate_spec(d: usize, job: &MoldableJob) -> Result<(), String> {
 /// `instance` against the machine's *current* capacities, stamped at round
 /// time `t`. Entry `i` of the result describes global job `pending[i]`. On
 /// scheduler failure, falls back to serialising the pending jobs on unit
-/// allocations (always feasible — capacities stay >= 1).
+/// allocations (always feasible — capacities stay >= 1) and counts the
+/// fallback in `serve.plan.fallbacks`.
 ///
 /// Shared by the incremental core and the naive reference: both must feed
 /// the engine bit-identical placements for the differential guarantee.
@@ -195,6 +196,7 @@ pub(crate) fn plan_pending(
                 .collect())
         }
         Err(_) => {
+            mrls_obs::counter_add("serve.plan.fallbacks", 1);
             let d = instance.num_resource_types();
             let mut clock = t;
             Ok(pending
@@ -430,7 +432,7 @@ impl ServiceCore {
     pub fn new(config: ServeConfig) -> Self {
         let ingest = IngestQueue::new(config.batch_window, config.max_pending_jobs);
         let capacities = config.capacities.clone();
-        let policy = config.policy.build();
+        let policy = config.policy.build_with(&config.scheduler);
         if config.timing {
             // Never disabled here: the flag is process-wide and another core
             // in the same process may still be collecting.

@@ -3,15 +3,17 @@
 //! the wall-clock namespace stripped), Prometheus rendering of a live
 //! scrape, and Chrome trace-event export of a drained run's realized trace.
 
+use mrls_dag::GraphClass;
 use mrls_obs::Snapshot;
 use mrls_serve::{Client, DrainReport, ServeConfig, Server};
 use mrls_sim::{FailureModel, FailurePlan, PolicyKind, RetryPolicy};
 use mrls_workload::InstanceRecipe;
 use std::time::Duration;
 
-/// Drives a fixed 2-tenant stream (one DAG, chained singletons, one
-/// validation reject, one capacity drop) against a fresh server and returns
-/// the drain report plus the obs snapshot queried right after the drain.
+/// Drives a fixed 2-tenant stream (two DAGs, one of them general; chained
+/// singletons; one validation reject; one capacity drop) against a fresh
+/// server and returns the drain report plus the obs snapshot queried right
+/// after the drain.
 fn run_stream() -> (DrainReport, Snapshot) {
     let handle = Server::spawn(
         ServeConfig {
@@ -36,6 +38,20 @@ fn run_stream() -> (DrainReport, Snapshot) {
         .submit_dag(dag.jobs.clone(), dag.dag.edges().collect())
         .unwrap();
     assert_eq!(ids.len(), 8);
+
+    // A DAG of the general class, which the scheduler plans through the LP
+    // relaxation (the one above is not general).
+    let general = (40..)
+        .map(|seed| {
+            InstanceRecipe::default_layered(16, 2, 8)
+                .generate(seed)
+                .instance
+        })
+        .find(|i| i.graph_class() == GraphClass::General)
+        .expect("random layered DAGs are general with positive probability");
+    alice
+        .submit_dag(general.jobs.clone(), general.dag.edges().collect())
+        .unwrap();
 
     let singles = InstanceRecipe::default_layered(4, 2, 8)
         .generate(22)
@@ -92,6 +108,19 @@ fn query_metrics_reflects_the_run_and_is_deterministic() {
     );
     assert!(snap.histograms.contains_key("serve.plan_diff.updates"));
     assert!(snap.histograms.contains_key("serve.plan_diff.planned"));
+
+    // The general DAG is planned through the LP relaxation, whose solves
+    // and pivots (per phase, and those chosen under Bland's rule) are
+    // counted.
+    for name in [
+        "lp.solves",
+        "lp.pivots.phase1",
+        "lp.pivots.phase2",
+        "lp.pivots.bland",
+    ] {
+        let count = snap.counters.get(name).copied().unwrap_or(0);
+        assert!(count > 0, "counter {name} is {count}");
+    }
 
     // Wall-clock timings exist but live in their own namespace: one sample
     // per executed round, plus the batch-empty completion rounds a drain

@@ -141,13 +141,19 @@ impl PolicyKind {
 
     /// Builds the policy with its default configuration.
     pub fn build(&self) -> Box<dyn Policy> {
+        self.build_with(&MrlsConfig::default())
+    }
+
+    /// Builds the policy; `FullReschedule` re-plans with `scheduler`, the
+    /// other policies do not plan and ignore it.
+    pub fn build_with(&self, scheduler: &MrlsConfig) -> Box<dyn Policy> {
         match self {
             PolicyKind::Static => Box::new(StaticPolicy::new()),
             PolicyKind::ReactiveList => {
                 Box::new(ReactiveListPolicy::new(PriorityRule::CriticalPath))
             }
             PolicyKind::FullReschedule => {
-                Box::new(FullReschedulePolicy::new(MrlsConfig::default(), 1.5))
+                Box::new(FullReschedulePolicy::new(scheduler.clone(), 1.5))
             }
         }
     }
@@ -650,7 +656,10 @@ impl FullReschedulePolicy {
     }
 
     /// Recomputes allocations and priorities for every pending (unstarted)
-    /// job by scheduling the induced sub-instance from scratch.
+    /// job by scheduling the induced sub-instance from scratch. If the
+    /// scheduler fails, the current allocations are kept, clamped to the
+    /// capacities, and the fallback is counted in
+    /// `sim.policy.reschedule_fallbacks`.
     fn reschedule(&mut self, state: &SimState<'_>) -> Result<usize, SimError> {
         let n = state.instance.num_jobs();
         let pending: Vec<usize> = (0..n)
@@ -685,6 +694,7 @@ impl FullReschedulePolicy {
             Err(_) => {
                 // Fallback: keep the current allocations but clamp them to
                 // the degraded capacities so pending jobs stay startable.
+                mrls_obs::counter_add("sim.policy.reschedule_fallbacks", 1);
                 for &old in &pending {
                     let alloc = &self.decision[old];
                     let clamped: Vec<u64> = (0..alloc.dim())
