@@ -41,6 +41,36 @@ pub enum CoreError {
     Dag(mrls_dag::DagError),
 }
 
+/// The name `<prefix>.<cause>` of the per-cause counter for a [`CoreError`],
+/// as a `&'static str`; `<cause>` is the variant's name in snake case. Every
+/// fallback counter names its cause through this one match over the
+/// variants.
+///
+/// ```
+/// use mrls_core::{cause_counter, CoreError};
+/// let name = cause_counter!("serve.plan.fallbacks", &CoreError::NotSeriesParallel);
+/// assert_eq!(name, "serve.plan.fallbacks.not_series_parallel");
+/// ```
+#[macro_export]
+macro_rules! cause_counter {
+    ($prefix:literal, $err:expr) => {
+        match $err {
+            $crate::CoreError::InvalidParameter { .. } => concat!($prefix, ".invalid_parameter"),
+            $crate::CoreError::AllocationNeverFits { .. } => {
+                concat!($prefix, ".allocation_never_fits")
+            }
+            $crate::CoreError::NoFeasibleAllocation { .. } => {
+                concat!($prefix, ".no_feasible_allocation")
+            }
+            $crate::CoreError::NotSeriesParallel => concat!($prefix, ".not_series_parallel"),
+            $crate::CoreError::NotIndependent => concat!($prefix, ".not_independent"),
+            $crate::CoreError::LpFailure(_) => concat!($prefix, ".lp_failure"),
+            $crate::CoreError::Model(_) => concat!($prefix, ".model"),
+            $crate::CoreError::Dag(_) => concat!($prefix, ".dag"),
+        }
+    };
+}
+
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -185,19 +185,22 @@ impl MrlsScheduler {
         let rho = self.config.rho.unwrap_or(default_rho);
         let epsilon = self.config.epsilon;
 
-        // Phase 1: initial allocation p'.
+        // Phase 1: initial allocation p', each call counted under the kind
+        // it resolved to (failed calls included).
         let (initial_decision, allocator_name, certified_lb): (
             AllocationDecision,
             &str,
             Option<f64>,
         ) = match kind {
             AllocatorKind::LpRounding => {
+                mrls_obs::counter_add("plan.allocator.lp_rounding", 1);
                 let alloc = LpRoundingAllocator::new(rho)?;
                 let frac = LpRoundingAllocator::solve_relaxation(instance, profiles)?;
                 let decision = alloc.round(profiles, &frac);
                 (decision, alloc.name(), Some(frac.objective))
             }
             AllocatorKind::SpFptas => {
+                mrls_obs::counter_add("plan.allocator.sp_fptas", 1);
                 let alloc = SpFptasAllocator::new(epsilon)?;
                 let (decision, _) = alloc.solve(instance, profiles)?;
                 let lb = instance
@@ -207,18 +210,22 @@ impl MrlsScheduler {
                 (decision, alloc.name(), lb)
             }
             AllocatorKind::IndependentOptimal => {
+                mrls_obs::counter_add("plan.allocator.independent_optimal", 1);
                 let (decision, lmin) = IndependentOptimalAllocator::solve(instance, profiles)?;
                 (decision, "independent-optimal", Some(lmin))
             }
             AllocatorKind::MinTime => {
+                mrls_obs::counter_add("plan.allocator.min_time", 1);
                 let alloc = HeuristicAllocator::new(HeuristicRule::MinTime);
                 (alloc.allocate(instance, profiles)?, alloc.name(), None)
             }
             AllocatorKind::MinArea => {
+                mrls_obs::counter_add("plan.allocator.min_area", 1);
                 let alloc = HeuristicAllocator::new(HeuristicRule::MinArea);
                 (alloc.allocate(instance, profiles)?, alloc.name(), None)
             }
             AllocatorKind::MinLocalMax => {
+                mrls_obs::counter_add("plan.allocator.min_local_max", 1);
                 let alloc = HeuristicAllocator::new(HeuristicRule::MinLocalMax);
                 (alloc.allocate(instance, profiles)?, alloc.name(), None)
             }

@@ -195,8 +195,9 @@ pub(crate) fn plan_pending(
                 .map(|e| e.expect("the scheduler covers every pending job"))
                 .collect())
         }
-        Err(_) => {
+        Err(e) => {
             mrls_obs::counter_add("serve.plan.fallbacks", 1);
+            mrls_obs::counter_add(mrls_core::cause_counter!("serve.plan.fallbacks", &e), 1);
             let d = instance.num_resource_types();
             let mut clock = t;
             Ok(pending

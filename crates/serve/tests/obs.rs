@@ -10,10 +10,10 @@ use mrls_sim::{FailureModel, FailurePlan, PolicyKind, RetryPolicy};
 use mrls_workload::InstanceRecipe;
 use std::time::Duration;
 
-/// Drives a fixed 2-tenant stream (two DAGs, one of them general; chained
-/// singletons; one validation reject; one capacity drop) against a fresh
-/// server and returns the drain report plus the obs snapshot queried right
-/// after the drain.
+/// Drives a fixed 2-tenant stream (a lone singleton; two DAGs, one of them
+/// general; chained singletons; one validation reject; one capacity drop)
+/// against a fresh server and returns the drain report plus the obs snapshot
+/// queried right after the drain.
 fn run_stream() -> (DrainReport, Snapshot) {
     let handle = Server::spawn(
         ServeConfig {
@@ -30,6 +30,13 @@ fn run_stream() -> (DrainReport, Snapshot) {
 
     let mut alice = Client::connect(addr, "alice").unwrap();
     let mut bob = Client::connect(addr, "bob").unwrap();
+
+    // A lone singleton first: its round plans a pending set without edges,
+    // through the exact independent allocator.
+    let lone = InstanceRecipe::default_layered(1, 2, 8)
+        .generate(20)
+        .instance;
+    bob.submit_job(lone.jobs[0].clone(), vec![]).unwrap();
 
     let dag = InstanceRecipe::default_layered(8, 2, 8)
         .generate(21)
@@ -117,6 +124,15 @@ fn query_metrics_reflects_the_run_and_is_deterministic() {
         "lp.pivots.phase1",
         "lp.pivots.phase2",
         "lp.pivots.bland",
+    ] {
+        let count = snap.counters.get(name).copied().unwrap_or(0);
+        assert!(count > 0, "counter {name} is {count}");
+    }
+    // Every plan counts the allocator kind it resolved: the LP for the
+    // general DAG, the exact allocator for pending sets without edges.
+    for name in [
+        "plan.allocator.lp_rounding",
+        "plan.allocator.independent_optimal",
     ] {
         let count = snap.counters.get(name).copied().unwrap_or(0);
         assert!(count > 0, "counter {name} is {count}");

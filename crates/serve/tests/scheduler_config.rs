@@ -1,7 +1,8 @@
 //! The service plans with the scheduler it is configured with: a round's
 //! plan and `FullReschedule`'s re-plans both use `ServeConfig::scheduler`.
 //! When that scheduler fails on the pending jobs, both fall back to a
-//! degraded plan, and each fallback is counted in the obs registry.
+//! degraded plan, and each fallback is counted in the obs registry, in total
+//! and by the scheduler error's cause.
 
 use mrls_core::{AllocatorKind, MrlsConfig, MrlsScheduler};
 use mrls_dag::GraphClass;
@@ -85,10 +86,18 @@ fn failed_plans_fall_back_and_are_counted() {
     let dags = [general_dag(3), general_dag(40)];
     let (_, snap) = run(AllocatorKind::SpFptas, &dags);
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-    assert!(counter("serve.plan.fallbacks") >= 1, "{:?}", snap.counters);
-    assert!(
-        counter("sim.policy.reschedule_fallbacks") >= 1,
-        "{:?}",
-        snap.counters
-    );
+    for total in ["serve.plan.fallbacks", "sim.policy.reschedule_fallbacks"] {
+        assert!(counter(total) >= 1, "{:?}", snap.counters);
+        // Each fallback is also counted under its cause, and here the cause
+        // is the SP FPTAS refusing the graph.
+        let cause = format!("{total}.not_series_parallel");
+        assert!(counter(&cause) >= 1, "{:?}", snap.counters);
+        let by_cause: u64 = snap
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with(&format!("{total}.")))
+            .map(|(_, count)| count)
+            .sum();
+        assert_eq!(by_cause, counter(total), "{:?}", snap.counters);
+    }
 }

@@ -691,10 +691,14 @@ impl FullReschedulePolicy {
                     self.times[old] = sj.finish - sj.start;
                 }
             }
-            Err(_) => {
+            Err(e) => {
                 // Fallback: keep the current allocations but clamp them to
                 // the degraded capacities so pending jobs stay startable.
                 mrls_obs::counter_add("sim.policy.reschedule_fallbacks", 1);
+                mrls_obs::counter_add(
+                    mrls_core::cause_counter!("sim.policy.reschedule_fallbacks", &e),
+                    1,
+                );
                 for &old in &pending {
                     let alloc = &self.decision[old];
                     let clamped: Vec<u64> = (0..alloc.dim())
