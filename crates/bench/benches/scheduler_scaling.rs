@@ -111,40 +111,11 @@ fn bench_event_loop(c: &mut Criterion) {
     }
 }
 
-/// The two placement modes over the heterogeneous mix (see
-/// `mrls_bench::event_loop::heterogeneous`): `at_event` is the greedy
-/// Algorithm-2 loop, `look_ahead` the slot-set timeline loop carrying many
-/// concurrent windows — the regime where the segment-tree-indexed
-/// `first_fit_after` earns its O(log slots) bound.
-fn bench_placement_modes(c: &mut Criterion) {
-    use mrls_bench::event_loop;
-    use mrls_core::{ListScheduler, PriorityRule};
-    let scheduler = ListScheduler::new(PriorityRule::CriticalPath);
-    let mut group = c.benchmark_group("placement_modes");
-    group.sample_size(10);
-    for &n in &[1000usize, 5000, 20000] {
-        let (instance, decision) = event_loop::heterogeneous(n);
-        group.bench_with_input(BenchmarkId::new("at_event", n), &n, |b, _| {
-            b.iter(|| scheduler.schedule(&instance, &decision).unwrap().makespan)
-        });
-        group.bench_with_input(BenchmarkId::new("look_ahead", n), &n, |b, _| {
-            b.iter(|| {
-                scheduler
-                    .schedule_lookahead(&instance, &decision)
-                    .unwrap()
-                    .makespan
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_pipeline_vs_jobs,
     bench_pipeline_vs_d,
     bench_phase2_only,
-    bench_event_loop,
-    bench_placement_modes
+    bench_event_loop
 );
 criterion_main!(benches);

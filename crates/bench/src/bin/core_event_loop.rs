@@ -18,12 +18,6 @@
 //! then reports the median wall time of each over `reps` runs and their
 //! ratio. Results go to `results/core_event_loop.csv`.
 //!
-//! Both placement modes run: the `AtEvent` equivalence gate above, plus the
-//! `LookAhead` slot-set loop ([`ListScheduler::schedule_lookahead`]), which
-//! at CI sizes (n <= 2000) is additionally pinned byte-identical to its own
-//! brute-force timestep-prober reference
-//! ([`ListScheduler::schedule_lookahead_reference`]).
-//!
 //! Arguments (`key=value`, all optional): `n=1000,5000,20000 reps=3`.
 //! CI-sized smoke: `n=600,1200 reps=2`.
 
@@ -85,15 +79,8 @@ fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 fn main() {
     let (ns, reps) = args();
     let scheduler = ListScheduler::new(PriorityRule::CriticalPath);
-    let mut table = ResultTable::new(&[
-        "shape",
-        "n",
-        "events",
-        "naive_ms",
-        "indexed_ms",
-        "speedup",
-        "lookahead_ms",
-    ]);
+    let mut table =
+        ResultTable::new(&["shape", "n", "events", "naive_ms", "indexed_ms", "speedup"]);
 
     type Workload = fn(usize) -> (mrls_model::Instance, Vec<mrls_model::Allocation>);
     for (shape, build) in [
@@ -117,29 +104,6 @@ fn main() {
                 "{shape} n={n}: indexed and naive schedules diverged"
             );
 
-            // Look-ahead is new semantics with its own oracle: pin the
-            // tree-indexed slot-set loop against the brute-force timestep
-            // prober at CI sizes (the prober is quadratic, so large n only
-            // run the indexed loop for timing).
-            let lookahead = scheduler
-                .schedule_lookahead(&instance, &decision)
-                .expect("lookahead schedule");
-            if n <= 2000 {
-                let reference = scheduler
-                    .schedule_lookahead_reference(&instance, &decision)
-                    .expect("lookahead reference schedule");
-                assert_eq!(
-                    lookahead.to_json(),
-                    reference.to_json(),
-                    "{shape} n={n}: lookahead and its timestep prober diverged"
-                );
-            }
-
-            let lookahead_ms = median_ms(reps, || {
-                scheduler
-                    .schedule_lookahead(&instance, &decision)
-                    .expect("lookahead schedule");
-            });
             let indexed_ms = median_ms(reps, || {
                 scheduler
                     .schedule(&instance, &decision)
@@ -153,7 +117,7 @@ fn main() {
             let speedup = naive_ms / indexed_ms.max(1e-9);
             println!(
                 "{shape:>4}  n {n:>6}  naive {naive_ms:>9.2}ms  indexed {indexed_ms:>8.2}ms  \
-                 speedup {speedup:>7.1}x  lookahead {lookahead_ms:>8.2}ms"
+                 speedup {speedup:>7.1}x"
             );
             table.push_row(vec![
                 shape.to_string(),
@@ -162,7 +126,6 @@ fn main() {
                 fmt3(naive_ms),
                 fmt3(indexed_ms),
                 fmt3(speedup),
-                fmt3(lookahead_ms),
             ]);
         }
     }

@@ -197,46 +197,6 @@ pub mod event_loop {
         let decision = vec![Allocation::new(vec![1, 1]); n];
         (instance, decision)
     }
-
-    /// A **heterogeneous mix**: mostly narrow unit jobs with a scattered
-    /// minority (one in 16) of long, near-capacity **wide** jobs on a
-    /// two-type machine. The placement-mode stress shape: at-event greedy
-    /// placement backfills narrow jobs around a wide job that never finds a
-    /// free machine (head-of-line starvation), while look-ahead placement
-    /// reserves the wide job's window. Also the `placement_modes` criterion
-    /// workload, where the slot-set timeline carries many concurrent
-    /// windows.
-    pub fn heterogeneous(n: usize) -> (Instance, Vec<Allocation>) {
-        let cap = ((n / 16).max(8)) as u64;
-        let system = SystemConfig::new(vec![cap, cap]).expect("capacities >= 1");
-        let wide_alloc = Allocation::new(vec![cap - cap / 4, cap - cap / 4]);
-        let mut job_list = Vec::with_capacity(n);
-        let mut decision = Vec::with_capacity(n);
-        for j in 0..n {
-            if j % 16 == 15 {
-                // Wide: three quarters of the machine, several times longer
-                // than the narrow background.
-                job_list.push(MoldableJob::new(
-                    j,
-                    ExecTimeSpec::Constant {
-                        time: 8.0 + jittered_time(j),
-                    },
-                ));
-                decision.push(wide_alloc.clone());
-            } else {
-                job_list.push(MoldableJob::new(
-                    j,
-                    ExecTimeSpec::Constant {
-                        time: jittered_time(j),
-                    },
-                ));
-                decision.push(Allocation::new(vec![1, 1]));
-            }
-        }
-        let instance =
-            Instance::new(system, Dag::independent(n), job_list).expect("valid instance");
-        (instance, decision)
-    }
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@
 //! exactly the guarantees of Lemma 3:
 //! `C(p′) ≤ C_frac/ρ ≤ L*/ρ ≤ T_opt/ρ` and
 //! `A(p′) ≤ A_frac/(1−ρ) ≤ L*/(1−ρ) ≤ T_opt/(1−ρ)`.
-//! This replaces the virtual-activity rounding of Skutella [34] with a
+//! This replaces the virtual-activity rounding of Skutella \[34\] with a
 //! per-job argument that achieves the same bounds (see DESIGN.md).
 
 use super::Allocator;

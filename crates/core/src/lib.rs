@@ -68,7 +68,6 @@ pub mod ready_queue;
 pub mod resource_state;
 pub mod schedule;
 pub mod scheduler;
-pub mod slotset;
 pub mod theorem6;
 pub mod theory;
 pub mod timing;
@@ -82,21 +81,6 @@ pub use ready_queue::ReadyQueue;
 pub use resource_state::ResourceState;
 pub use schedule::{Schedule, ScheduledJob};
 pub use scheduler::{AllocatorKind, MrlsConfig, MrlsScheduler, ScheduleResult};
-pub use slotset::{Slot, SlotSet};
-
-/// How the list scheduler and the list policies place ready jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementMode {
-    /// Greedy Algorithm 2 placement: start whatever fits *now*, at event
-    /// instants only. Byte-identical to the naive reference implementations.
-    #[default]
-    AtEvent,
-    /// EASY-style look-ahead placement over the slot-set timeline: the
-    /// highest-priority blocked job reserves its earliest contiguous window,
-    /// and lower-priority jobs may start now only if their full window fits
-    /// around that reservation.
-    LookAhead,
-}
 
 /// The shared fit/completion tolerance of every placement and event-time
 /// decision: the list scheduler's completion grouping, [`ResourceState`]'s

@@ -25,7 +25,6 @@ use crate::priority::PriorityRule;
 use crate::ready_queue::ReadyQueue;
 use crate::resource_state::ResourceState;
 use crate::schedule::{Schedule, ScheduledJob};
-use crate::slotset::SlotSet;
 use crate::{Result, EPS};
 use mrls_model::{Allocation, Instance};
 
@@ -216,254 +215,6 @@ impl ListScheduler {
                     }
                 }
             }
-        }
-
-        let jobs = (0..n)
-            .map(|j| ScheduledJob {
-                job: j,
-                start: start[j],
-                finish: finish[j],
-                alloc: decision[j].clone(),
-            })
-            .collect();
-        Ok(Schedule::new(jobs))
-    }
-
-    /// One EASY-style look-ahead placement pass over a slot-set timeline
-    /// anchored at "now" (`timeline.begin()`).
-    ///
-    /// Walks `ready` in priority order. A job starts now iff its allocation
-    /// fits the timeline for its **whole duration** `[now, now + dur)` — not
-    /// just instantaneously — and claims that window. The first job that
-    /// cannot start claims a *reservation* at its earliest contiguous
-    /// window ([`SlotSet::first_fit_window`]), so lower-priority jobs may
-    /// backfill now only where they do not delay it; later blocked jobs skip
-    /// without reserving. The reservation is released before returning —
-    /// it is a pass-local planning constraint, recomputed at every decision
-    /// point from fresh state, never a commitment.
-    ///
-    /// Because future slots only gain capacity (releases) except where the
-    /// reservation claims it, the window test degenerates to the plain
-    /// instantaneous fit when no job is blocked — which is why `AtEvent`
-    /// remains a special case rather than a separate code path at the sites
-    /// that share this queue.
-    pub fn schedule_ready_lookahead(
-        &self,
-        ready: &mut ReadyQueue,
-        keys: &[f64],
-        decision: &[Allocation],
-        durations: &[f64],
-        timeline: &mut SlotSet,
-    ) -> Vec<usize> {
-        debug_assert!(
-            ready
-                .as_slice()
-                .windows(2)
-                .all(|w| crate::ready_queue::key_order(w[0], w[1], keys).is_le()),
-            "ready queue out of order for the supplied keys (resort after key changes)"
-        );
-        let now = timeline.begin();
-        let mut reservation: Option<(f64, f64, usize)> = None;
-        let started = ready.drain_fitting_with(|j| {
-            let dur = durations[j];
-            let req = &decision[j];
-            if timeline.fits_window(now, dur, req) {
-                timeline.claim(now, now + dur, req);
-                true
-            } else {
-                if reservation.is_none() {
-                    if let Some(t0) = timeline.first_fit_window(now, req, dur) {
-                        timeline.claim(t0, t0 + dur, req);
-                        reservation = Some((t0, t0 + dur, j));
-                    }
-                }
-                false
-            }
-        });
-        if let Some((t0, t1, j)) = reservation {
-            timeline.release(t0, t1, &decision[j]);
-        }
-        started
-    }
-
-    /// Runs the list scheduler with look-ahead placement: the event loop of
-    /// [`ListScheduler::schedule`], but each pass is
-    /// [`ListScheduler::schedule_ready_lookahead`] over a persistent
-    /// slot-set timeline (claims cover `[start, finish)`; completion events
-    /// release only the EPS-sliver their grouped processing time left
-    /// unexpired). New semantics — **not** equivalent to Algorithm 2's
-    /// greedy placement — pinned byte-identical to
-    /// [`ListScheduler::schedule_lookahead_reference`] instead.
-    pub fn schedule_lookahead(
-        &self,
-        instance: &Instance,
-        decision: &[Allocation],
-    ) -> Result<Schedule> {
-        let n = instance.num_jobs();
-        let times = self.evaluate_times(instance, decision)?;
-        if n == 0 {
-            return Ok(Schedule::new(vec![]));
-        }
-        let keys = self.priority_keys(instance, decision, &times)?;
-
-        let mut timeline = SlotSet::new(instance.system.capacities(), 0.0);
-        let mut remaining_preds: Vec<usize> = (0..n).map(|j| instance.dag.in_degree(j)).collect();
-        let universe: Vec<usize> = (0..n).collect();
-        let mut ready = ReadyQueue::with_universe(
-            &universe,
-            (0..n).filter(|&j| remaining_preds[j] == 0).collect(),
-            &keys,
-            decision,
-        );
-
-        let mut start = vec![f64::NAN; n];
-        let mut finish = vec![f64::NAN; n];
-        let mut completions = EventQueue::with_capacity(n.min(1024));
-        let mut now = 0.0f64;
-        let mut num_completed = 0usize;
-
-        loop {
-            for j in
-                self.schedule_ready_lookahead(&mut ready, &keys, decision, &times, &mut timeline)
-            {
-                start[j] = now;
-                finish[j] = now + times[j];
-                completions.push(finish[j], j);
-            }
-
-            if num_completed == n {
-                break;
-            }
-            let Some((next_time, _)) = completions.peek() else {
-                debug_assert!(false, "look-ahead scheduler stalled with idle system");
-                return Err(CoreError::NoFeasibleAllocation {
-                    job: ready.as_slice().first().copied().unwrap_or(0),
-                });
-            };
-            now = next_time;
-            timeline.advance_to(now);
-            while let Some((f, j)) = completions.peek() {
-                if f > now + EPS {
-                    break;
-                }
-                completions.pop();
-                num_completed += 1;
-                // The job's claim ran to finish[j]; grouped processing at
-                // `now` may leave an unexpired sliver — give it back.
-                timeline.release(now, finish[j], &decision[j]);
-                for &succ in instance.dag.successors(j) {
-                    remaining_preds[succ] -= 1;
-                    if remaining_preds[succ] == 0 {
-                        ready.insert(succ, &keys, &decision[succ]);
-                    }
-                }
-            }
-        }
-
-        let jobs = (0..n)
-            .map(|j| ScheduledJob {
-                job: j,
-                start: start[j],
-                finish: finish[j],
-                alloc: decision[j].clone(),
-            })
-            .collect();
-        Ok(Schedule::new(jobs))
-    }
-
-    /// The brute-force reference for [`ListScheduler::schedule_lookahead`]:
-    /// the same EASY semantics with naive machinery — a full ready sort per
-    /// pass, `Vec::remove` per start, a linear min-fold over the running
-    /// set per event, and the timestep prober
-    /// [`SlotSet::first_fit_window_naive`] for every reservation query.
-    ///
-    /// The executable specification the look-ahead differential tests pin
-    /// `schedule_lookahead` against, byte for byte. Behaviour must never be
-    /// "improved" here; fix the indexed loop instead.
-    pub fn schedule_lookahead_reference(
-        &self,
-        instance: &Instance,
-        decision: &[Allocation],
-    ) -> Result<Schedule> {
-        let n = instance.num_jobs();
-        let times = self.evaluate_times(instance, decision)?;
-        if n == 0 {
-            return Ok(Schedule::new(vec![]));
-        }
-        let keys = self.priority_keys(instance, decision, &times)?;
-
-        let mut timeline = SlotSet::new(instance.system.capacities(), 0.0);
-        let mut remaining_preds: Vec<usize> = (0..n).map(|j| instance.dag.in_degree(j)).collect();
-        let mut ready: Vec<usize> = (0..n).filter(|&j| remaining_preds[j] == 0).collect();
-
-        let mut start = vec![f64::NAN; n];
-        let mut finish = vec![f64::NAN; n];
-        let mut running: Vec<(f64, usize)> = Vec::new();
-        let mut now = 0.0f64;
-        let mut num_completed = 0usize;
-
-        loop {
-            sort_by_key(&mut ready, &keys);
-            let mut reservation: Option<(f64, f64, usize)> = None;
-            let mut i = 0;
-            while i < ready.len() {
-                let j = ready[i];
-                if timeline.fits_window(now, times[j], &decision[j]) {
-                    timeline.claim(now, now + times[j], &decision[j]);
-                    start[j] = now;
-                    finish[j] = now + times[j];
-                    running.push((finish[j], j));
-                    ready.remove(i);
-                } else {
-                    if reservation.is_none() {
-                        if let Some(t0) =
-                            timeline.first_fit_window_naive(now, &decision[j], times[j])
-                        {
-                            timeline.claim(t0, t0 + times[j], &decision[j]);
-                            reservation = Some((t0, t0 + times[j], j));
-                        }
-                    }
-                    i += 1;
-                }
-            }
-            if let Some((t0, t1, j)) = reservation {
-                timeline.release(t0, t1, &decision[j]);
-            }
-
-            if num_completed == n {
-                break;
-            }
-            if running.is_empty() {
-                debug_assert!(false, "look-ahead scheduler stalled with idle system");
-                return Err(CoreError::NoFeasibleAllocation {
-                    job: ready.first().copied().unwrap_or(0),
-                });
-            }
-            let next_time = running
-                .iter()
-                .map(|&(f, _)| f)
-                .fold(f64::INFINITY, f64::min);
-            now = next_time;
-            timeline.advance_to(now);
-            let mut newly_ready: Vec<usize> = Vec::new();
-            let mut k = 0;
-            while k < running.len() {
-                let (f, j) = running[k];
-                if f <= now + EPS {
-                    running.swap_remove(k);
-                    num_completed += 1;
-                    timeline.release(now, finish[j], &decision[j]);
-                    for &succ in instance.dag.successors(j) {
-                        remaining_preds[succ] -= 1;
-                        if remaining_preds[succ] == 0 {
-                            newly_ready.push(succ);
-                        }
-                    }
-                } else {
-                    k += 1;
-                }
-            }
-            ready.extend(newly_ready);
         }
 
         let jobs = (0..n)
@@ -801,69 +552,6 @@ mod tests {
         assert!((sched.makespan - 3.0).abs() < 1e-9);
         assert!((sched.jobs[1].start - 1.0).abs() < 1e-9);
         assert!((sched.jobs[2].start - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lookahead_reserves_instead_of_starving_the_head_job() {
-        // Capacity 3, FIFO order A(2 units, t=2), B(3 units, t=10),
-        // C(1 unit, t=3). Greedy AtEvent backfills C at t=0, so B cannot
-        // start until C finishes at t=3. LookAhead reserves [2, 12) for B,
-        // which makes C's window [0, 3) not fit — B starts at exactly 2.
-        let inst = rigid_instance(3, 3, Dag::independent(3), &[2.0, 10.0, 3.0], &[2, 3, 1]);
-        let decision = alloc1(&[2, 3, 1]);
-        let greedy = ListScheduler::new(PriorityRule::Fifo)
-            .schedule(&inst, &decision)
-            .unwrap();
-        assert!((greedy.jobs[2].start - 0.0).abs() < 1e-9);
-        assert!((greedy.jobs[1].start - 3.0).abs() < 1e-9);
-        let look = ListScheduler::new(PriorityRule::Fifo)
-            .schedule_lookahead(&inst, &decision)
-            .unwrap();
-        assert!((look.jobs[1].start - 2.0).abs() < 1e-9);
-        assert!(
-            look.jobs[2].start >= 12.0 - 1e-9,
-            "C yields to the reservation"
-        );
-    }
-
-    #[test]
-    fn lookahead_matches_its_brute_force_reference() {
-        let dag = Dag::from_edges(6, &[(0, 3), (1, 3), (2, 4), (3, 5), (4, 5)]).unwrap();
-        let inst = rigid_instance(
-            6,
-            4,
-            dag,
-            &[2.0, 5.0, 1.0, 3.0, 4.0, 1.0],
-            &[2, 3, 1, 4, 2, 1],
-        );
-        let decision = alloc1(&[2, 3, 1, 4, 2, 1]);
-        for rule in [
-            PriorityRule::Fifo,
-            PriorityRule::CriticalPath,
-            PriorityRule::LongestTimeFirst,
-        ] {
-            let sched = ListScheduler::new(rule.clone());
-            let fast = sched.schedule_lookahead(&inst, &decision).unwrap();
-            let slow = sched
-                .schedule_lookahead_reference(&inst, &decision)
-                .unwrap();
-            assert_eq!(fast.to_json(), slow.to_json());
-        }
-    }
-
-    #[test]
-    fn lookahead_without_contention_matches_greedy() {
-        // Nothing ever blocks: look-ahead placement degenerates to greedy.
-        let inst = rigid_instance(4, 8, Dag::chain(4), &[1.0, 2.0, 1.0, 2.0], &[2; 4]);
-        let decision = alloc1(&[2, 2, 2, 2]);
-        let sched = ListScheduler::new(PriorityRule::CriticalPath);
-        assert_eq!(
-            sched
-                .schedule_lookahead(&inst, &decision)
-                .unwrap()
-                .to_json(),
-            sched.schedule(&inst, &decision).unwrap().to_json()
-        );
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //!   bubbling each dirty leaf with an early exit as soon as an ancestor's
 //!   minima stop changing. A deep-chain run whose queue never outgrows a
 //!   handful of jobs never queries the tree, so it never pays a bubble.
-//! * **Small-queue bypass.** Sweeps over at most [`SMALL`] unvisited jobs
+//! * **Small-queue bypass.** Sweeps over at most `SMALL` unvisited jobs
 //!   skip the index and just visit them — the exit would cost more than the
 //!   visits it saves. Exits remain exact: they only ever fire when an
 //!   exhaustive scan would find nothing more, so the placement output is
@@ -389,7 +389,7 @@ impl ReadyQueue {
     /// ranks, and started jobs' leaves are cleared as they start). The exit
     /// fires exactly when an exhaustive scan would find nothing more, so
     /// the sweep is bit-identical to one by construction. Unvisited
-    /// remainders of at most [`SMALL`] jobs are visited outright — cheaper
+    /// remainders of at most `SMALL` jobs are visited outright — cheaper
     /// than the proof, and trivially the same result.
     pub fn drain_fitting(
         &mut self,
@@ -477,12 +477,13 @@ impl ReadyQueue {
         self.index.root_blocks(resources)
     }
 
-    /// A full sweep (no early exit) with a caller-supplied start predicate —
-    /// the look-ahead pass, which must visit every queued job to consider
-    /// backfills behind a reservation. Started jobs are removed (and their
-    /// index leaves cleared) by the same compaction as
+    /// A full sweep (no early exit) with a caller-supplied start predicate:
+    /// it never reads the requirement index, which lets the tests interleave
+    /// lazy leaf updates with index reads. Started jobs are removed (and
+    /// their index leaves cleared) by the same compaction as
     /// [`ReadyQueue::drain_fitting`].
-    pub fn drain_fitting_with(&mut self, mut start: impl FnMut(usize) -> bool) -> Vec<usize> {
+    #[cfg(test)]
+    fn drain_fitting_with(&mut self, mut start: impl FnMut(usize) -> bool) -> Vec<usize> {
         let mut started = Vec::new();
         let n = self.jobs.len();
         let (mut read, mut write) = (self.head, self.head);

@@ -1,32 +1,26 @@
-//! Persistent multi-resource availability state — the "now" view of a
-//! [`crate::SlotSet`].
+//! Persistent multi-resource availability state.
 //!
 //! Both the offline list scheduler ([`crate::ListScheduler::schedule`]) and
 //! incremental callers (the `mrls-sim` execution runtime) place jobs against
 //! the same notion of "what is free right now". [`ResourceState`] is that
-//! notion, backed by a time-indexed slot set: `acquire`/`release`/
-//! `shift_capacity` apply from now on (to every slot — the engine releases
-//! by completion *event*, not by planned window, so its claims carry no end
-//! time), and the fit test reads the first slot. A caller that never uses
-//! the timeline therefore keeps a single-slot set forever and pays exactly
-//! the flat-vector cost; look-ahead placement clones the timeline via
-//! [`ResourceState::timeline`] and plans future windows against it.
+//! notion: a per-type free vector that jobs acquire on start and release on
+//! completion, with the shared [`crate::EPS`] tolerance Algorithm 2 uses so
+//! that floating-point accumulation never makes an exactly-fitting job
+//! appear to not fit.
 //!
 //! Availability is stored as `f64` (not `u64`) because the simulation runtime
 //! also models capacity *drops*: when the machine loses capacity while jobs
 //! still hold resources, availability legitimately goes negative until enough
-//! running jobs complete. Fit tests use the shared [`crate::EPS`] tolerance
-//! so floating-point accumulation never makes an exactly-fitting job appear
-//! to not fit.
+//! running jobs complete.
 
-use crate::slotset::SlotSet;
+use crate::EPS;
 use mrls_model::{Allocation, SystemConfig};
 
 /// Per-resource-type available amounts, acquired and released as jobs start
-/// and complete, backed by a slot set whose first slot is "now".
+/// and complete.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResourceState {
-    slots: SlotSet,
+    avail: Vec<f64>,
 }
 
 impl ResourceState {
@@ -38,7 +32,7 @@ impl ResourceState {
     /// A fully idle machine with explicit per-type capacities.
     pub fn from_capacities(capacities: &[u64]) -> Self {
         ResourceState {
-            slots: SlotSet::new(capacities, 0.0),
+            avail: capacities.iter().map(|&c| c as f64).collect(),
         }
     }
 
@@ -47,58 +41,49 @@ impl ResourceState {
     /// accumulated floating-point residue — so a resumed run makes exactly
     /// the same fit decisions as the run it was captured from.
     pub fn from_available(avail: Vec<f64>) -> Self {
-        ResourceState {
-            slots: SlotSet::from_free(avail, 0.0),
-        }
+        ResourceState { avail }
     }
 
     /// The raw per-type availability amounts (for checkpointing).
     pub fn available_amounts(&self) -> &[f64] {
-        self.slots.now_free()
+        &self.avail
     }
 
     /// Number of resource types `d`.
     pub fn num_resource_types(&self) -> usize {
-        self.slots.num_resource_types()
+        self.avail.len()
     }
 
     /// The currently available amount of resource type `i`. May be negative
     /// after a capacity drop while running jobs still hold resources.
     pub fn available(&self, i: usize) -> f64 {
-        self.slots.now_free()[i]
+        self.avail[i]
     }
 
     /// `true` iff `alloc` fits in the currently available amount of **every**
     /// resource type (within tolerance).
     pub fn fits(&self, alloc: &Allocation) -> bool {
-        let avail = self.slots.now_free();
-        (0..avail.len()).all(|i| alloc[i] as f64 <= avail[i] + crate::EPS)
+        (0..self.avail.len()).all(|i| alloc[i] as f64 <= self.avail[i] + EPS)
     }
 
     /// Takes `alloc` out of the available pool (job start).
     pub fn acquire(&mut self, alloc: &Allocation) {
-        self.slots.claim_all(alloc);
+        for i in 0..self.avail.len() {
+            self.avail[i] -= alloc[i] as f64;
+        }
     }
 
     /// Returns `alloc` to the available pool (job completion).
     pub fn release(&mut self, alloc: &Allocation) {
-        self.slots.release_all(alloc);
+        for i in 0..self.avail.len() {
+            self.avail[i] += alloc[i] as f64;
+        }
     }
 
     /// Shifts the available amount of type `i` by `delta` (a capacity change
     /// event: negative = the machine lost capacity, positive = regained).
     pub fn shift_capacity(&mut self, i: usize, delta: f64) {
-        self.slots.shift_all(i, delta);
-    }
-
-    /// A planning timeline anchored at `now`: a copy of the slot set with
-    /// everything before `now` dropped. Look-ahead placement opens future
-    /// windows on the copy (running-job releases, reservations) without
-    /// touching the authoritative state.
-    pub fn timeline(&self, now: f64) -> SlotSet {
-        let mut tl = self.slots.clone();
-        tl.advance_to(now);
-        tl
+        self.avail[i] += delta;
     }
 }
 
@@ -147,9 +132,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_style_usage_stays_single_slot() {
-        // acquire/release/shift never split: the "now" view costs the same
-        // as the flat vector it replaced.
+    fn engine_style_usage_restores_the_free_vector() {
         let mut state = ResourceState::from_capacities(&[8, 8]);
         for _ in 0..100 {
             let a = Allocation::new(vec![3, 2]);
@@ -158,20 +141,6 @@ mod tests {
             state.shift_capacity(0, 1.0);
             state.release(&a);
         }
-        assert_eq!(state.timeline(0.0).num_slots(), 1);
         assert_eq!(state.available_amounts(), &[8.0, 8.0]);
-    }
-
-    #[test]
-    fn timeline_is_a_detached_copy() {
-        let mut state = ResourceState::from_capacities(&[4]);
-        state.acquire(&Allocation::new(vec![3]));
-        let mut tl = state.timeline(5.0);
-        assert_eq!(tl.begin(), 5.0);
-        assert_eq!(tl.now_free(), &[1.0]);
-        tl.release_from(7.0, &Allocation::new(vec![3]));
-        // Planning on the timeline leaves the authoritative state untouched.
-        assert!((state.available(0) - 1.0).abs() < 1e-12);
-        assert_eq!(tl.free_at(8.0, 0), 4.0);
     }
 }

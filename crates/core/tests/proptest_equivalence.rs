@@ -146,52 +146,6 @@ proptest! {
             }
         }
     }
-
-    /// Same corpus for the look-ahead placement: the slot-set event loop
-    /// with the tree-indexed window query must match the brute-force
-    /// timestep prober byte for byte. (Look-ahead is *new* semantics — it
-    /// is pinned against its own reference, not against Algorithm 2.)
-    #[test]
-    fn lookahead_schedule_equals_timestep_prober_reference(
-        seed in 0u64..1_000_000,
-        n in 2usize..30,
-        d in 1usize..4,
-        dag_which in 0usize..5,
-        sys_which in 0usize..4,
-        prio_which in 0usize..5,
-        family in prop_oneof![
-            Just(SpeedupFamily::Amdahl),
-            Just(SpeedupFamily::PowerLaw),
-            Just(SpeedupFamily::Roofline),
-            Just(SpeedupFamily::Mixed),
-        ],
-        choice_seed in 0u64..10_000,
-    ) {
-        let r = recipe(dag_class(dag_which, n), capacity_mix(sys_which, d), family);
-        let gi = r.generate(seed);
-        let Some(decision) = decision_from_profiles(&gi.instance, choice_seed) else {
-            return Ok(());
-        };
-        let scheduler = ListScheduler::new(priority_rule(prio_which, n, seed));
-        let fast = scheduler.schedule_lookahead(&gi.instance, &decision);
-        let slow = scheduler.schedule_lookahead_reference(&gi.instance, &decision);
-        match (fast, slow) {
-            (Ok(fast), Ok(slow)) => {
-                prop_assert_eq!(
-                    fast.to_json(),
-                    slow.to_json(),
-                    "indexed look-ahead and timestep prober diverged"
-                );
-            }
-            (fast, slow) => {
-                prop_assert_eq!(
-                    fast.map(|s| s.to_json()).map_err(|e| e.to_string()),
-                    slow.map(|s| s.to_json()).map_err(|e| e.to_string()),
-                    "error behaviour diverged"
-                );
-            }
-        }
-    }
 }
 
 /// Deterministic anchor: a mass of identical unit jobs on one saturated

@@ -2,7 +2,7 @@
 //! critical-path decomposition they assemble into.
 //!
 //! [`BlameTotals`] is a deterministic (sorted-key) accumulator of virtual
-//! time per [`Blame`](crate::span::Blame) label. [`CriticalPathBlame`] is a
+//! time per [`Blame`] label. [`CriticalPathBlame`] is a
 //! walk back through the jobs that determined the realized makespan, each
 //! step carrying its own blamed segments; because consecutive steps chain at
 //! the predecessor's finish time, the summed segment durations telescope to

@@ -264,8 +264,9 @@ impl Client {
         }
     }
 
-    /// Sends one request and waits for its response. No retry beyond what
-    /// [`Client::request_token`] allows for token-free bodies (queries).
+    /// Sends one request and waits for its response. It carries no
+    /// idempotency token, so only read-only queries are resent after a
+    /// disconnect.
     pub fn request(&mut self, body: RequestBody) -> Result<Response, ClientError> {
         self.request_token(body, None)
     }

@@ -44,6 +44,21 @@ fn malformed_json_gets_an_error_reply() {
     let response = raw_roundtrip(&mut stream, r#"{"id":9,"tenant":"t","body":"QueryStatus"}"#);
     assert_eq!(response.id, 9);
     assert!(matches!(response.body, ResponseBody::Status { .. }));
+    // Nesting far past the parser's depth limit (under the line cap), and a
+    // high surrogate followed by an escape that is not a low surrogate.
+    for line in [
+        "[".repeat(60_000),
+        r#"{"id":10,"tenant":"\ud800\u0041","body":"QueryStatus"}"#.to_string(),
+    ] {
+        let response = raw_roundtrip(&mut stream, &line);
+        assert!(matches!(response.body, ResponseBody::Error { .. }));
+        let response = raw_roundtrip(
+            &mut stream,
+            r#"{"id":11,"tenant":"t","body":"QueryStatus"}"#,
+        );
+        assert_eq!(response.id, 11);
+        assert!(matches!(response.body, ResponseBody::Status { .. }));
+    }
 
     Client::connect(handle.addr(), "t")
         .unwrap()

@@ -4,9 +4,8 @@
 //! instance's machine, under a [`Scenario`] (online arrivals, capacity
 //! changes) and a [`PerturbationModel`] (stochastic execution times). The
 //! engine owns the world state and enforces the hard invariants — precedence,
-//! release times, resource capacity — while a [`Policy`](crate::Policy)
-//! decides *which* ready jobs start, with which allocations, whenever the
-//! world changes.
+//! release times, resource capacity — while a [`Policy`] decides *which*
+//! ready jobs start, with which allocations, whenever the world changes.
 //!
 //! An in-flight run is a [`SimRun`], which owns its instance and plan. It
 //! can be paused, checkpointed (serialisable [`SimSnapshot`]) and resumed —
@@ -193,7 +192,6 @@ pub struct SimState<'a> {
     /// The offline plan the run started from.
     pub plan: &'a Schedule,
     world: &'a SimWorld,
-    alloc_used: &'a [Allocation],
 }
 
 impl std::ops::Deref for SimState<'_> {
@@ -201,16 +199,6 @@ impl std::ops::Deref for SimState<'_> {
 
     fn deref(&self) -> &SimWorld {
         self.world
-    }
-}
-
-impl SimState<'_> {
-    /// The allocation job `j` actually started with (equals the plan's
-    /// allocation unless a policy overrode it). Only meaningful for started
-    /// jobs; look-ahead placement uses it to open future release windows for
-    /// the running set.
-    pub fn alloc_used(&self, j: usize) -> &Allocation {
-        &self.alloc_used[j]
     }
 }
 
@@ -873,7 +861,6 @@ impl RunCore {
             instance,
             plan,
             world: &self.world,
-            alloc_used: &self.alloc_used,
         }
     }
 

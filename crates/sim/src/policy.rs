@@ -27,9 +27,7 @@
 
 use crate::engine::{SimError, SimState};
 use crate::trace::TraceEvent;
-use mrls_core::{
-    ListScheduler, MrlsConfig, MrlsScheduler, PlacementMode, PriorityRule, ReadyQueue, SlotSet,
-};
+use mrls_core::{ListScheduler, MrlsConfig, MrlsScheduler, PriorityRule, ReadyQueue};
 use mrls_model::{Allocation, Instance, MoldableJob, SystemConfig};
 use serde::{Deserialize, Serialize};
 
@@ -48,20 +46,6 @@ fn live_frontier(state: &SimState<'_>) -> Vec<usize> {
     (0..state.instance.num_jobs())
         .filter(|&j| !state.completed[j] && !state.abandoned[j])
         .collect()
-}
-
-/// The planning timeline a look-ahead pass places against: the authoritative
-/// availability from `now` on, with every running job's allocation returned
-/// at its (currently known) finish time. Completions at `now` were already
-/// processed, so every running job finishes strictly later than `now` and
-/// the first slot stays exactly the engine's availability — look-ahead can
-/// never start a job the engine would reject.
-fn lookahead_timeline(state: &SimState<'_>) -> SlotSet {
-    let mut timeline = state.resources.timeline(state.now);
-    for r in &state.running {
-        timeline.release_from(r.finish.max(state.now), state.alloc_used(r.job));
-    }
-    timeline
 }
 
 /// A scheduling policy driven by the engine at every decision point.
@@ -331,13 +315,8 @@ impl MirroredQueue {
 #[derive(Debug, Clone)]
 pub struct ReactiveListPolicy {
     scheduler: ListScheduler,
-    mode: PlacementMode,
     decision: Vec<Allocation>,
     keys: Vec<f64>,
-    /// Execution times under `decision` — the window durations a look-ahead
-    /// pass plans with. Maintained alongside `keys` (same branches, same
-    /// frontier restriction).
-    times: Vec<f64>,
     mirror: MirroredQueue,
     settled: bool,
     /// The frontier the keys were last derived over — `on_plan_update` skips
@@ -351,20 +330,12 @@ impl ReactiveListPolicy {
     pub fn new(priority: PriorityRule) -> Self {
         ReactiveListPolicy {
             scheduler: ListScheduler::new(priority),
-            mode: PlacementMode::AtEvent,
             decision: Vec::new(),
             keys: Vec::new(),
-            times: Vec::new(),
             mirror: MirroredQueue::default(),
             settled: false,
             last_live: None,
         }
-    }
-
-    /// Selects the placement mode ([`PlacementMode::AtEvent`] by default).
-    pub fn with_placement(mut self, mode: PlacementMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// (Re-)derives allocations and priority keys over the given live
@@ -384,7 +355,6 @@ impl ReactiveListPolicy {
             self.keys = self
                 .scheduler
                 .priority_keys(state.instance, &self.decision, &times)?;
-            self.times = times;
         } else {
             let (sub_dag, mapping) = state.instance.dag.induced_subgraph_sorted(live);
             let sub_jobs: Vec<MoldableJob> = mapping
@@ -405,13 +375,9 @@ impl ReactiveListPolicy {
                 .priority_keys(&sub_instance, &sub_decision, &times)?;
             self.decision.resize(n, Allocation::new(Vec::new()));
             self.keys.resize(n, 0.0);
-            self.times.resize(n, 0.0);
-            for (((&old, key), alloc), t) in
-                mapping.iter().zip(sub_keys).zip(sub_decision).zip(times)
-            {
+            for ((&old, key), alloc) in mapping.iter().zip(sub_keys).zip(sub_decision) {
                 self.keys[old] = key;
                 self.decision[old] = alloc;
-                self.times[old] = t;
             }
         }
         self.mirror.rebuild(state, live, &self.keys, &self.decision);
@@ -436,7 +402,7 @@ impl Policy for ReactiveListPolicy {
         // Diff-aware refresh: when the frontier is the one the keys were
         // derived over and no live placement changed, the induced
         // sub-instance is identical, so the recompute (times, bottom levels,
-        // keys) would reproduce the stored values bit for bit — skip it and
+        // keys) would reproduce the stored keys bit for bit — skip it and
         // only rebuild the ready-queue mirror.
         let unchanged = self.last_live.as_deref() == Some(live)
             && live
@@ -452,11 +418,6 @@ impl Policy for ReactiveListPolicy {
                         self.keys[j].to_bits(),
                         fresh.keys[j].to_bits(),
                         "diff-aware key reuse diverged from a full recompute (job {j})"
-                    );
-                    debug_assert_eq!(
-                        self.times[j].to_bits(),
-                        fresh.times[j].to_bits(),
-                        "diff-aware time reuse diverged from a full recompute (job {j})"
                     );
                 }
             }
@@ -483,27 +444,13 @@ impl Policy for ReactiveListPolicy {
         if self.settled {
             return Vec::new();
         }
-        let started = match self.mode {
-            PlacementMode::AtEvent => {
-                let mut resources = state.resources.clone();
-                self.scheduler.schedule_ready(
-                    &mut self.mirror.queue,
-                    &self.keys,
-                    &self.decision,
-                    &mut resources,
-                )
-            }
-            PlacementMode::LookAhead => {
-                let mut timeline = lookahead_timeline(state);
-                self.scheduler.schedule_ready_lookahead(
-                    &mut self.mirror.queue,
-                    &self.keys,
-                    &self.decision,
-                    &self.times,
-                    &mut timeline,
-                )
-            }
-        };
+        let mut resources = state.resources.clone();
+        let started = self.scheduler.schedule_ready(
+            &mut self.mirror.queue,
+            &self.keys,
+            &self.decision,
+            &mut resources,
+        );
         self.settled = true;
         started
             .into_iter()
@@ -532,11 +479,8 @@ pub struct FullReschedulePolicy {
     min_interval_frac: f64,
     stretch_threshold: f64,
     scheduler: ListScheduler,
-    mode: PlacementMode,
     decision: Vec<Allocation>,
     keys: Vec<f64>,
-    /// Execution times under `decision` — look-ahead window durations.
-    times: Vec<f64>,
     mirror: MirroredQueue,
     settled: bool,
     min_interval: f64,
@@ -559,22 +503,14 @@ impl FullReschedulePolicy {
             min_interval_frac: 0.25,
             stretch_threshold: 1.25,
             scheduler: ListScheduler::new(priority),
-            mode: PlacementMode::AtEvent,
             decision: Vec::new(),
             keys: Vec::new(),
-            times: Vec::new(),
             mirror: MirroredQueue::default(),
             settled: false,
             min_interval: 0.0,
             last_reschedule: f64::NEG_INFINITY,
             planned_completed_max: 0.0,
         }
-    }
-
-    /// Selects the placement mode ([`PlacementMode::AtEvent`] by default).
-    pub fn with_placement(mut self, mode: PlacementMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Overrides the debounce: `min_interval_frac` is the minimum virtual
@@ -600,11 +536,9 @@ impl FullReschedulePolicy {
         // initialisation is O(live), not O(world).
         self.decision.resize(n, Allocation::new(Vec::new()));
         self.keys.resize(n, 0.0);
-        self.times.resize(n, 0.0);
         for &j in live {
             self.decision[j] = state.plan.jobs[j].alloc.clone();
             self.keys[j] = state.plan.jobs[j].start;
-            self.times[j] = state.plan.jobs[j].finish - state.plan.jobs[j].start;
         }
         self.min_interval = self.min_interval_frac * state.plan.makespan.max(0.0);
         self.last_reschedule = f64::NEG_INFINITY;
@@ -688,7 +622,6 @@ impl FullReschedulePolicy {
                     let old = mapping[sj.job];
                     self.decision[old] = sj.alloc.clone();
                     self.keys[old] = sj.start;
-                    self.times[old] = sj.finish - sj.start;
                 }
             }
             Err(e) => {
@@ -711,12 +644,6 @@ impl FullReschedulePolicy {
                         })
                         .collect();
                     self.decision[old] = Allocation::new(clamped);
-                    // The clamped allocation changes the execution time the
-                    // look-ahead window is sized with.
-                    let t = state.instance.jobs[old].spec.time(&self.decision[old]);
-                    if t.is_finite() && t > 0.0 {
-                        self.times[old] = t;
-                    }
                 }
             }
         }
@@ -804,27 +731,13 @@ impl Policy for FullReschedulePolicy {
         if self.settled {
             return Vec::new();
         }
-        let started = match self.mode {
-            PlacementMode::AtEvent => {
-                let mut resources = state.resources.clone();
-                self.scheduler.schedule_ready(
-                    &mut self.mirror.queue,
-                    &self.keys,
-                    &self.decision,
-                    &mut resources,
-                )
-            }
-            PlacementMode::LookAhead => {
-                let mut timeline = lookahead_timeline(state);
-                self.scheduler.schedule_ready_lookahead(
-                    &mut self.mirror.queue,
-                    &self.keys,
-                    &self.decision,
-                    &self.times,
-                    &mut timeline,
-                )
-            }
-        };
+        let mut resources = state.resources.clone();
+        let started = self.scheduler.schedule_ready(
+            &mut self.mirror.queue,
+            &self.keys,
+            &self.decision,
+            &mut resources,
+        );
         self.settled = true;
         started
             .into_iter()

@@ -371,13 +371,12 @@ fn externally_reordered_plans_are_normalised() {
 }
 
 #[test]
-fn lookahead_policies_stay_feasible_and_deterministic() {
-    // Look-ahead placement is new semantics (EASY-style reservations), but
-    // the engine contract is unchanged: every start it proposes must fit the
-    // availability of the moment, so realized traces stay feasible under
-    // noise, arrivals and capacity drops — and same-seed runs stay
+fn list_policies_stay_feasible_and_deterministic() {
+    // Both list policies in one run under noise, arrivals and a capacity
+    // drop: every start they propose must fit the availability of the
+    // moment, so realized traces stay feasible — and same-seed runs stay
     // byte-identical.
-    use mrls_core::{MrlsConfig, PlacementMode, PriorityRule};
+    use mrls_core::{MrlsConfig, PriorityRule};
     use mrls_sim::{FullReschedulePolicy, ReactiveListPolicy};
 
     let instance = layered(22, 7);
@@ -403,21 +402,18 @@ fn lookahead_policies_stay_feasible_and_deterministic() {
         },
     ];
     for config in configs {
-        let mut reactive = ReactiveListPolicy::new(PriorityRule::CriticalPath)
-            .with_placement(PlacementMode::LookAhead);
+        let mut reactive = ReactiveListPolicy::new(PriorityRule::CriticalPath);
         let a = Simulator::new(config.clone())
             .run(&instance, &planned, &mut reactive)
-            .expect("look-ahead reactive run");
+            .expect("reactive run");
         assert_feasible(&instance, &a);
-        let mut full = FullReschedulePolicy::new(MrlsConfig::default(), 1.5)
-            .with_placement(PlacementMode::LookAhead);
+        let mut full = FullReschedulePolicy::new(MrlsConfig::default(), 1.5);
         let b = Simulator::new(config.clone())
             .run(&instance, &planned, &mut full)
-            .expect("look-ahead full-reschedule run");
+            .expect("full-reschedule run");
         assert_feasible(&instance, &b);
         // Determinism across repeated runs.
-        let mut again = ReactiveListPolicy::new(PriorityRule::CriticalPath)
-            .with_placement(PlacementMode::LookAhead);
+        let mut again = ReactiveListPolicy::new(PriorityRule::CriticalPath);
         let a2 = Simulator::new(config.clone())
             .run(&instance, &planned, &mut again)
             .unwrap();
