@@ -1,6 +1,6 @@
 //! **Event-loop benchmark** — the offline list scheduler's indexed event
 //! loop ([`ListScheduler::schedule`]: completion heap + persistent ready
-//! queue + requirement-floor sweep exit) against the retained pre-index
+//! queue + exact suffix-min requirement index) against the retained pre-index
 //! reference ([`ListScheduler::schedule_naive`]: linear min-scan per event,
 //! full ready re-sort per pass, `Vec::remove` per start).
 //!
@@ -22,46 +22,9 @@
 //! CI-sized smoke: `n=600,1200 reps=2`.
 
 use mrls_analysis::export::{fmt3, ResultTable};
-use mrls_bench::{emit, event_loop};
+use mrls_bench::{emit, event_loop, Args};
 use mrls_core::{ListScheduler, PriorityRule};
 use std::time::Instant;
-
-const ARG_KEYS: &[&str] = &["n", "reps"];
-
-/// Strict `key=value` lookup (same contract as the `mrls` CLI): unknown
-/// keys, malformed tokens and unparsable values exit with code 2.
-fn args() -> (Vec<usize>, usize) {
-    let mut ns = vec![1000usize, 5000, 20000];
-    let mut reps = 3usize;
-    for a in std::env::args().skip(1) {
-        let Some((k, v)) = a.split_once('=') else {
-            eprintln!("malformed argument `{a}` (expected key=value)");
-            std::process::exit(2);
-        };
-        if !ARG_KEYS.contains(&k) {
-            eprintln!(
-                "unknown key `{k}` (expected one of: {})",
-                ARG_KEYS.join(", ")
-            );
-            std::process::exit(2);
-        }
-        match k {
-            "reps" => reps = v.parse().unwrap_or_else(|_| invalid(k, v)),
-            _ => {
-                ns = v
-                    .split(',')
-                    .map(|w| w.parse().unwrap_or_else(|_| invalid(k, v)))
-                    .collect();
-            }
-        }
-    }
-    (ns, reps.max(1))
-}
-
-fn invalid(k: &str, v: &str) -> ! {
-    eprintln!("invalid value `{v}` for `{k}`");
-    std::process::exit(2);
-}
 
 /// Median wall time of `reps` runs of `f`, in milliseconds.
 fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -77,7 +40,9 @@ fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    let (ns, reps) = args();
+    let args = Args::parse(&["n", "reps"]);
+    let ns: Vec<usize> = args.list("n", vec![1000, 5000, 20000]);
+    let reps = args.get("reps", 3usize).max(1);
     let scheduler = ListScheduler::new(PriorityRule::CriticalPath);
     let mut table =
         ResultTable::new(&["shape", "n", "events", "naive_ms", "indexed_ms", "speedup"]);

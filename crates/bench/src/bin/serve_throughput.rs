@@ -1,100 +1,43 @@
-//! **Serving benchmark** — submission throughput, time-to-first-placement,
-//! and per-round latency of the `mrls-serve` online scheduling service.
+//! **Serving benchmark** — per-round latency of the `mrls-serve` service
+//! core, in process (no TCP), in two sweeps. The service end to end over
+//! loopback is measured by the repository benchmark (`perfbench`).
 //!
-//! Two sweeps:
-//!
-//! 1. **TCP sweep** (per batching window): an in-process server on an
-//!    ephemeral loopback port, a client replaying `jobs` singleton
-//!    submissions flat out. Reported per window:
-//!    * `submit_per_s` — admissions per wall-clock second,
-//!    * `ttfp_ms` — wall-clock time from the first submission until a
-//!      `QueryStatus` poll first observes a placed job (the latency cost of
-//!      batching),
-//!    * `submit_p50_us` / `submit_p99_us` — request/response round-trip
-//!      percentiles over the bulk stream,
-//!    * `rounds` — how many scheduling rounds the stream coalesced into.
-//!
-//! 2. **Rounds-vs-latency sweep** (`rounds` one-job rounds, in-process, no
-//!    TCP): the incremental [`ServiceCore`] and the [`NaiveService`]
-//!    reference (the old checkpoint→clone→resume path) driven side by side,
-//!    timing every `flush`. Reported per path: p50/p99 over all rounds plus
-//!    first-decile vs last-decile medians and their ratio (`growth`) — the
+//! 1. **Rounds-vs-latency sweep** (`rounds` one-job rounds): the
+//!    incremental [`ServiceCore`] and the [`NaiveService`] reference (the
+//!    old checkpoint→clone→resume path) driven side by side, timing every
+//!    `flush`. Reported per path: p50/p99 over all rounds plus first-decile
+//!    vs last-decile medians and their ratio (`growth`) — the
 //!    O(history)→O(live) change makes the incremental path flat in the
 //!    round index where the naive path grows linearly.
 //!
-//! 3. **Durability sweep** (`rounds` four-submission rounds, in-process):
-//!    the steady-state workload against a durable [`ServiceCore`] in each
+//! 2. **Durability sweep** (`rounds` four-submission rounds): the
+//!    steady-state workload against a durable [`ServiceCore`] in each
 //!    durability mode (`off` / `buffered` / `fsync`), timing every `flush`
-//!    (round latency, same definition as sweep 2) and every submission (the
+//!    (round latency, same definition as sweep 1) and every submission (the
 //!    WAL append of the admitted record rides the submit path, before the
 //!    reply). Rounds carry a four-job batch — the coalescing regime the
 //!    serve tier exists for; the durable flush appends one round marker
 //!    regardless of batch size, so its cost is constant per round (the
-//!    one-job worst case for that constant is sweep 2's regime). Reported per mode: p50/p99 round latency, the round-latency
-//!    p50 overhead relative to `off`, the submit p50, and the log volume
-//!    (bytes, checkpoints) the run produced. The `buffered` round overhead
-//!    is the headline number: the write-through round marker must stay
-//!    within a few percent of `off` at p50 (checkpoints ride the cadence
-//!    and surface at p99; `fsync` pays a disk sync per record by design).
+//!    one-job worst case for that constant is sweep 1's regime). Reported
+//!    per mode: p50/p99 round latency, the round-latency p50 overhead
+//!    relative to `off`, the submit p50, and the log volume (bytes,
+//!    checkpoints) the run produced. The `buffered` round overhead is the
+//!    headline number: the write-through round marker must stay within a
+//!    few percent of `off` at p50 (checkpoints ride the cadence and surface
+//!    at p99; `fsync` pays a disk sync per record by design).
 //!
-//! Arguments (`key=value`, all optional): `jobs=120 windows-ms=0,10,50
-//! rounds=320 timing=false` (`rounds=0` skips the second and third sweeps;
-//! `timing=true` turns on the service's per-phase round instrumentation —
-//! see `mrls_core::timing` — and fills the `timed_us_per_round` column,
-//! which stays `0.000` in the default timing-off runs).
-//! CI-sized smoke: `jobs=20 windows-ms=0,25 rounds=120`.
+//! Arguments (`key=value`, optional): `rounds=320` (at least 1).
+//! CI-sized smoke: `rounds=120`.
 //!
-//! Results go to `results/serve_throughput.csv`,
-//! `results/serve_rounds_latency.csv` and `results/serve_durability.csv`.
+//! Results go to `results/serve_rounds_latency.csv` and
+//! `results/serve_durability.csv`.
 
 use mrls_analysis::export::{fmt3, ResultTable};
-use mrls_bench::emit;
+use mrls_bench::{emit, Args};
 use mrls_model::MoldableJob;
-use mrls_serve::{Client, DurabilityMode, NaiveService, ServeConfig, Server, ServiceCore};
+use mrls_serve::{DurabilityMode, NaiveService, ServeConfig, ServiceCore};
 use mrls_sim::PolicyKind;
-use mrls_workload::InstanceRecipe;
 use std::time::{Duration, Instant};
-
-const ARG_KEYS: &[&str] = &["jobs", "windows-ms", "rounds", "timing"];
-
-/// Strict `key=value` lookup (same contract as the `mrls` CLI): unknown
-/// keys, malformed tokens and unparsable values exit with code 2.
-fn args() -> (usize, Vec<u64>, usize, bool) {
-    let mut jobs = 120usize;
-    let mut windows = vec![0u64, 10, 50];
-    let mut rounds = 320usize;
-    let mut timing = false;
-    for a in std::env::args().skip(1) {
-        let Some((k, v)) = a.split_once('=') else {
-            eprintln!("malformed argument `{a}` (expected key=value)");
-            std::process::exit(2);
-        };
-        if !ARG_KEYS.contains(&k) {
-            eprintln!(
-                "unknown key `{k}` (expected one of: {})",
-                ARG_KEYS.join(", ")
-            );
-            std::process::exit(2);
-        }
-        match k {
-            "jobs" => jobs = v.parse().unwrap_or_else(|_| invalid(k, v)),
-            "rounds" => rounds = v.parse().unwrap_or_else(|_| invalid(k, v)),
-            "timing" => timing = v.parse().unwrap_or_else(|_| invalid(k, v)),
-            _ => {
-                windows = v
-                    .split(',')
-                    .map(|w| w.parse().unwrap_or_else(|_| invalid(k, v)))
-                    .collect();
-            }
-        }
-    }
-    (jobs.max(1), windows, rounds, timing)
-}
-
-fn invalid(k: &str, v: &str) -> ! {
-    eprintln!("invalid value `{v}` for `{k}`");
-    std::process::exit(2);
-}
 
 /// The `q`-quantile of a sample (nearest-rank on the sorted copy).
 fn percentile(samples: &[Duration], q: f64) -> Duration {
@@ -102,130 +45,6 @@ fn percentile(samples: &[Duration], q: f64) -> Duration {
     sorted.sort();
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx]
-}
-
-fn tcp_sweep(pool: &[MoldableJob], jobs: usize, windows: &[u64], timing: bool) {
-    let mut table = ResultTable::new(&[
-        "window_ms",
-        "jobs",
-        "rounds",
-        "submit_per_s",
-        "ttfp_ms",
-        "submit_p50_us",
-        "submit_p99_us",
-        "timed_us_per_round",
-        "virtual_makespan",
-    ]);
-
-    for &window_ms in windows {
-        let handle = Server::spawn(
-            ServeConfig {
-                capacities: vec![8, 8],
-                policy: PolicyKind::ReactiveList,
-                batch_window: Duration::from_millis(window_ms),
-                timing,
-                ..ServeConfig::default()
-            },
-            "127.0.0.1:0",
-        )
-        .expect("bind loopback");
-        let mut client = Client::connect(handle.addr(), "bench").expect("connect");
-
-        // First submission, then poll until the service placed it: the
-        // window is the dominant term of time-to-first-placement.
-        let t0 = Instant::now();
-        client.submit_job(pool[0].clone(), vec![]).expect("submit");
-        let ttfp = loop {
-            let status = client.status().expect("status");
-            if status.jobs_scheduled >= 1 {
-                break t0.elapsed();
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        };
-
-        // Then the bulk of the stream, flat out, timing every round trip.
-        let mut round_trips: Vec<Duration> = Vec::with_capacity(jobs.saturating_sub(1));
-        let bulk = Instant::now();
-        for job in pool.iter().skip(1).cloned() {
-            let t = Instant::now();
-            client.submit_job(job, vec![]).expect("submit");
-            round_trips.push(t.elapsed());
-        }
-        let elapsed = bulk.elapsed().as_secs_f64().max(1e-9);
-        let submit_per_s = (jobs.saturating_sub(1)) as f64 / elapsed;
-        let (p50, p99) = if round_trips.is_empty() {
-            (Duration::ZERO, Duration::ZERO)
-        } else {
-            (
-                percentile(&round_trips, 0.5),
-                percentile(&round_trips, 0.99),
-            )
-        };
-
-        // With timing on, the service thread accumulated per-phase wall
-        // clocks for every round since the last ttfp poll drained them; pull
-        // them before the drain round so the column attributes the bulk
-        // stream only. Off (the default) the snapshot's timings stay empty.
-        let timings = if timing {
-            client.status().expect("status").timings
-        } else {
-            Vec::new()
-        };
-
-        let report = client.drain().expect("drain");
-        assert_eq!(
-            report.completed, jobs as u64,
-            "window {window_ms}ms: {} of {jobs} jobs completed",
-            report.completed
-        );
-        assert!(report.feasible, "window {window_ms}ms: infeasible trace");
-        client.shutdown().expect("shutdown");
-        handle.join();
-
-        // Per-phase instrumentation aggregate: total timed microseconds
-        // across all phases, averaged over the bulk-stream rounds. Zero in
-        // the default timing-off runs.
-        let timed_us = timings.iter().map(|t| t.nanos).sum::<u64>() as f64 / 1e3;
-        let timed_us_per_round = timed_us / (report.metrics.rounds.max(1)) as f64;
-        if !timings.is_empty() {
-            let detail: Vec<String> = timings
-                .iter()
-                .map(|t| {
-                    format!(
-                        "{} {:.1}us/{} calls",
-                        t.phase,
-                        t.nanos as f64 / 1e3,
-                        t.calls
-                    )
-                })
-                .collect();
-            println!("         phases: {}", detail.join(", "));
-        }
-
-        println!(
-            "window {window_ms:>3}ms  {jobs:>4} jobs  rounds {:>4}  {submit_per_s:>9.0} submit/s  \
-             ttfp {:>7.2}ms  rt p50 {:>6.1}us p99 {:>7.1}us  timed {timed_us_per_round:>7.1}us/round  \
-             makespan {:.2}",
-            report.metrics.rounds,
-            ttfp.as_secs_f64() * 1e3,
-            p50.as_secs_f64() * 1e6,
-            p99.as_secs_f64() * 1e6,
-            report.virtual_makespan
-        );
-        table.push_row(vec![
-            window_ms.to_string(),
-            jobs.to_string(),
-            report.metrics.rounds.to_string(),
-            fmt3(submit_per_s),
-            fmt3(ttfp.as_secs_f64() * 1e3),
-            fmt3(p50.as_secs_f64() * 1e6),
-            fmt3(p99.as_secs_f64() * 1e6),
-            fmt3(timed_us_per_round),
-            fmt3(report.virtual_makespan),
-        ]);
-    }
-
-    emit("serve_throughput", &table);
 }
 
 /// A steady-state workload for the rounds sweep: short jobs that complete
@@ -327,9 +146,9 @@ fn rounds_sweep(rounds: usize) {
     emit("serve_rounds_latency", &table);
 }
 
-/// One-submission rounds per durability mode, timing the submit+flush pair
-/// (the submission carries the WAL append, the flush carries the round
-/// marker and any due checkpoint).
+/// Four-submission rounds per durability mode, timing each submission (it
+/// carries the WAL append) and each flush (it carries the round marker and
+/// any due checkpoint).
 fn durability_sweep(rounds: usize) {
     let mut table = ResultTable::new(&[
         "durability",
@@ -446,16 +265,7 @@ fn durability_sweep(rounds: usize) {
 }
 
 fn main() {
-    let (jobs, windows, rounds, timing) = args();
-    // A pool of singleton moldable jobs drawn from the standard mixed recipe.
-    let pool = InstanceRecipe::default_layered(jobs, 2, 8)
-        .generate(7)
-        .instance
-        .jobs;
-
-    tcp_sweep(&pool, jobs, &windows, timing);
-    if rounds > 0 {
-        rounds_sweep(rounds);
-        durability_sweep(rounds);
-    }
+    let rounds = Args::parse(&["rounds"]).get("rounds", 320usize).max(1);
+    rounds_sweep(rounds);
+    durability_sweep(rounds);
 }

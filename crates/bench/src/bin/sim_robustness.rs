@@ -19,40 +19,12 @@
 use mrls_analysis::export::{fmt3, ResultTable};
 use mrls_analysis::stats::Summary;
 use mrls_analysis::{validate_schedule_with, ValidationOptions};
-use mrls_bench::{emit, parallel_over_seeds};
+use mrls_bench::{emit, parallel_over_seeds, Args};
 use mrls_core::MrlsScheduler;
 use mrls_sim::{PerturbationModel, PolicyKind, Scenario, SimConfig, Simulator};
 use mrls_workload::{DagRecipe, InstanceRecipe, JobRecipe, SystemRecipe};
 
 const SIGMAS: &[f64] = &[0.0, 0.15, 0.4];
-
-const ARG_KEYS: &[&str] = &["seeds", "n", "tiles"];
-
-/// Strict `key=value` lookup: unknown keys, malformed tokens and unparsable
-/// values exit with code 2 (same contract as the `mrls` CLI).
-fn arg(key: &str, default: usize) -> usize {
-    let mut found = default;
-    for a in std::env::args().skip(1) {
-        let Some((k, v)) = a.split_once('=') else {
-            eprintln!("malformed argument `{a}` (expected key=value)");
-            std::process::exit(2);
-        };
-        if !ARG_KEYS.contains(&k) {
-            eprintln!(
-                "unknown key `{k}` (expected one of: {})",
-                ARG_KEYS.join(", ")
-            );
-            std::process::exit(2);
-        }
-        if k == key {
-            found = v.parse().unwrap_or_else(|_| {
-                eprintln!("invalid value `{v}` for `{key}`");
-                std::process::exit(2);
-            });
-        }
-    }
-    found
-}
 
 struct Cell {
     stretch: Vec<f64>,
@@ -61,9 +33,10 @@ struct Cell {
 }
 
 fn main() {
-    let seeds: Vec<u64> = (0..arg("seeds", 8) as u64).collect();
-    let n = arg("n", 30);
-    let tiles = arg("tiles", 4);
+    let args = Args::parse(&["seeds", "n", "tiles"]);
+    let seeds: Vec<u64> = (0..args.get("seeds", 8u64)).collect();
+    let n = args.get("n", 30usize);
+    let tiles = args.get("tiles", 4usize);
 
     let workloads: Vec<(&str, InstanceRecipe)> = vec![
         ("layered", InstanceRecipe::default_layered(n, 2, 8)),

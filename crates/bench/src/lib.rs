@@ -1,7 +1,7 @@
 //! # mrls-bench — the experiment harness
 //!
 //! Shared infrastructure for the binaries that regenerate every table and
-//! figure of the paper (see `DESIGN.md` §4 and `EXPERIMENTS.md`):
+//! figure of the paper:
 //!
 //! * `fig1_ratio_curves` — Figure 1 (Theorem 2 estimated vs. actual ratio).
 //! * `fig2_lower_bound` — Figure 2 / Theorem 6 (local list-scheduling gap).
@@ -24,12 +24,74 @@ use mrls_core::PriorityRule;
 use mrls_model::Instance;
 use mrls_workload::InstanceRecipe;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Where result CSVs are written.
 pub fn results_dir() -> PathBuf {
     std::env::var("MRLS_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("results"))
+}
+
+/// Strict `key=value` command-line arguments: a token without `=`, an
+/// unknown key or a value that does not parse exits with code 2, and the
+/// last value given for a key wins.
+pub struct Args {
+    pairs: Vec<(String, String)>,
+}
+
+impl Args {
+    /// Reads the process arguments, accepting only the keys in `keys`.
+    pub fn parse(keys: &[&str]) -> Args {
+        let pairs = std::env::args()
+            .skip(1)
+            .map(|a| {
+                let Some((k, v)) = a.split_once('=') else {
+                    usage_error(&format!("malformed argument `{a}` (expected key=value)"));
+                };
+                if !keys.contains(&k) {
+                    usage_error(&format!(
+                        "unknown key `{k}` (expected one of: {})",
+                        keys.join(", ")
+                    ));
+                }
+                (k.to_string(), v.to_string())
+            })
+            .collect();
+        Args { pairs }
+    }
+
+    /// The value of `key`, or `default` when it is absent.
+    pub fn get<T: FromStr>(&self, key: &str, default: T) -> T {
+        self.values(key).fold(default, |_, v| {
+            v.parse().unwrap_or_else(|_| invalid(key, v))
+        })
+    }
+
+    /// The comma-separated values of `key`, or `default` when it is absent.
+    pub fn list<T: FromStr>(&self, key: &str, default: Vec<T>) -> Vec<T> {
+        self.values(key).fold(default, |_, v| {
+            v.split(',')
+                .map(|w| w.parse().unwrap_or_else(|_| invalid(key, v)))
+                .collect()
+        })
+    }
+
+    fn values<'a>(&'a self, key: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        self.pairs
+            .iter()
+            .filter(move |(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+fn invalid(key: &str, v: &str) -> ! {
+    usage_error(&format!("invalid value `{v}` for `{key}`"))
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 /// Writes a table to `results/<name>.csv` and prints its Markdown rendering.
@@ -144,9 +206,9 @@ where
     collected.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Synthetic workloads for the list-scheduler **event-loop** benchmarks
-/// (`core_event_loop` binary, `scheduler_scaling` criterion group): shapes
-/// chosen so the per-event bookkeeping — not Phase 1 — dominates.
+/// Synthetic workloads for the list-scheduler **event-loop** benchmark
+/// (`core_event_loop` binary): shapes chosen so the per-event bookkeeping —
+/// not Phase 1 — dominates.
 pub mod event_loop {
     use mrls_dag::Dag;
     use mrls_model::{Allocation, ExecTimeSpec, Instance, MoldableJob, SystemConfig};

@@ -54,14 +54,6 @@ impl Drop for PhaseGuard {
     fn drop(&mut self) {
         if let Some((phase, start)) = self.start.take() {
             let nanos = start.elapsed().as_nanos() as u64;
-            // Bridge into the obs wall namespace so phase timings surface as
-            // `mrls_wall_timing_<phase>_us` Prometheus series, not just via
-            // `QueryStatus`. Wall-clock valued, hence never deterministic —
-            // exactly what the `wall` namespace is for. The format! only
-            // runs when both timing and obs collection are on.
-            if mrls_obs::enabled() {
-                mrls_obs::observe_wall_us_dyn(&format!("timing.{phase}_us"), nanos / 1_000);
-            }
             REGISTRY.with(|r| {
                 let mut reg = r.borrow_mut();
                 if let Some(t) = reg.iter_mut().find(|t| t.phase == phase) {
@@ -142,21 +134,5 @@ mod tests {
         assert_eq!(t[1].phase, "b");
         assert_eq!(t[1].calls, 1);
         assert!(drain().is_empty(), "drain leaves the registry empty");
-
-        // With obs collection on too, each phase drop also lands in the
-        // obs wall namespace under `timing.<phase>_us`.
-        set_enabled(true);
-        mrls_obs::set_enabled(true);
-        let _ = mrls_obs::take();
-        crate::time_phase!("bridged", std::hint::black_box(0));
-        mrls_obs::set_enabled(false);
-        set_enabled(false);
-        let _ = drain();
-        let snap = mrls_obs::take();
-        assert_eq!(
-            snap.wall.get("timing.bridged_us").map(|h| h.count),
-            Some(1),
-            "phase timing bridged into the obs wall namespace"
-        );
     }
 }

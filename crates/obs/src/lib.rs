@@ -43,9 +43,6 @@ struct Store {
     gauges: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, HistogramSnapshot>,
     wall: BTreeMap<&'static str, HistogramSnapshot>,
-    /// Wall-clock histograms under runtime-computed names (the per-phase
-    /// timing bridge); merged into the same `wall` namespace on [`take`].
-    wall_dyn: BTreeMap<String, HistogramSnapshot>,
 }
 
 /// Turns collection on or off (process-wide; stores are per-thread).
@@ -128,34 +125,6 @@ fn observe_wall_us_slow(name: &'static str, us: u64) {
     });
 }
 
-/// [`observe_wall_us`] for names computed at runtime (e.g. per-phase timing
-/// series). The allocation only happens on the enabled path; disabled call
-/// sites still cost one relaxed load and a branch when the caller passes a
-/// pre-built `&str`.
-#[inline]
-pub fn observe_wall_us_dyn(name: &str, us: u64) {
-    if enabled() {
-        observe_wall_us_dyn_slow(name, us);
-    }
-}
-
-#[inline(never)]
-fn observe_wall_us_dyn_slow(name: &str, us: u64) {
-    STORE.with(|s| {
-        let mut store = s.borrow_mut();
-        match store.wall_dyn.get_mut(name) {
-            Some(h) => h.observe(us),
-            None => {
-                store
-                    .wall_dyn
-                    .entry(name.to_string())
-                    .or_default()
-                    .observe(us);
-            }
-        }
-    });
-}
-
 /// Drains this thread's accumulated records into a [`Snapshot`], leaving the
 /// store empty. Not gated: residue is drained even after collection stops.
 pub fn take() -> Snapshot {
@@ -174,16 +143,10 @@ pub fn take() -> Snapshot {
                 .into_iter()
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
-            wall: {
-                let mut wall: BTreeMap<String, HistogramSnapshot> = std::mem::take(&mut store.wall)
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect();
-                for (k, h) in std::mem::take(&mut store.wall_dyn) {
-                    wall.entry(k).or_default().merge(&h);
-                }
-                wall
-            },
+            wall: std::mem::take(&mut store.wall)
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
         }
     })
 }
@@ -356,7 +319,6 @@ mod tests {
         gauge_set("g", 2);
         observe("h", 3);
         observe_wall_us("w", 4);
-        observe_wall_us_dyn("wd", 4);
         assert!(take().is_empty(), "disabled records are dropped");
 
         set_enabled(true);
@@ -366,19 +328,12 @@ mod tests {
         gauge_set("g", 9);
         observe("h", 5);
         observe_wall_us("w", 11);
-        observe_wall_us_dyn("w", 2);
-        observe_wall_us_dyn("wd", 6);
         set_enabled(false);
         let snap = take();
         assert_eq!(snap.counters.get("c"), Some(&3));
         assert_eq!(snap.gauges.get("g"), Some(&9));
         assert_eq!(snap.histograms.get("h").map(|h| h.count), Some(1));
-        assert_eq!(
-            snap.wall.get("w").map(|h| h.sum),
-            Some(13),
-            "dynamic-name wall records merge into the static wall namespace"
-        );
-        assert_eq!(snap.wall.get("wd").map(|h| h.sum), Some(6));
+        assert_eq!(snap.wall.get("w").map(|h| h.sum), Some(11));
         assert!(take().is_empty(), "take leaves the store empty");
     }
 

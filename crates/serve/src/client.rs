@@ -1,5 +1,5 @@
 //! A small blocking client for the serve protocol, used by `mrls client`,
-//! the `serve_throughput` bench and the loopback tests.
+//! the repository benchmark (`perfbench`) and the loopback tests.
 //!
 //! The client is **resilient**: a dropped connection is reported as the
 //! typed [`ClientError::Disconnected`] and — for requests that are safe to

@@ -31,7 +31,7 @@ pub const DEFAULT_MAX_LINE_BYTES: usize = 1 << 20;
 pub(crate) const MAX_REPLY_LINE_BYTES: usize = 256 << 20;
 
 /// One client request.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct Request {
     /// Client-chosen correlation id, echoed in the response.
     pub id: u64,
@@ -41,15 +41,14 @@ pub struct Request {
     /// a token the server already accepted is answered with the original ids
     /// instead of being admitted twice (the retried-submission guarantee of
     /// the resilient client). `None` (the wire default) opts out.
+    #[serde(default)]
     pub token: Option<String>,
     /// What is being asked.
     pub body: RequestBody,
 }
 
-// Hand-written so the `token` field stays optional on the wire: requests
-// serialised without it (every pre-token client) still parse, and `None` is
-// omitted instead of encoded as `null` (the vendored serde_derive has no
-// `#[serde(default)]` / `skip_serializing_if`).
+// Hand-written so a `None` token is omitted instead of encoded as `null`
+// (the vendored serde_derive has no `skip_serializing_if`).
 impl Serialize for Request {
     fn to_value(&self) -> serde::__private::Value {
         use serde::__private::Value;
@@ -62,20 +61,6 @@ impl Serialize for Request {
         }
         pairs.push(("body".to_string(), self.body.to_value()));
         Value::Object(pairs)
-    }
-}
-
-impl Deserialize for Request {
-    fn from_value(
-        v: &serde::__private::Value,
-    ) -> std::result::Result<Self, serde::__private::Error> {
-        use serde::__private::{field, opt_field};
-        Ok(Request {
-            id: field(v, "id")?,
-            tenant: field(v, "tenant")?,
-            token: opt_field(v, "token")?,
-            body: field(v, "body")?,
-        })
     }
 }
 

@@ -600,10 +600,9 @@ impl ServiceCore {
         Ok((core, report))
     }
 
-    /// Rebuilds a core from a checkpointed [`DurableState`], mirroring
-    /// [`ServiceCore::restore_engine_json`]: realized placements for started
-    /// jobs, placeholders for pending ones, frontiers recomputed from the
-    /// snapshot's flags.
+    /// Rebuilds a core from a checkpointed [`DurableState`]: the service's
+    /// own record verbatim, and the engine through
+    /// [`ServiceCore::rebuild_engine`].
     fn from_durable(config: ServeConfig, state: DurableState, digest: u64) -> Result<Self, String> {
         if state.config_digest != digest {
             return Err(format!(
@@ -627,56 +626,13 @@ impl ServiceCore {
             return Err("checkpoint ledger does not match its engine snapshot".to_string());
         }
         let mut core = ServiceCore::new(config);
-        let d = core.num_resource_types();
-        let system = SystemConfig::new(state.capacities_max.clone()).map_err(|e| e.to_string())?;
-        let dag = Dag::from_edges(state.grown, &state.edges[..state.edge_cursor])
-            .map_err(|e| e.to_string())?;
-        let jobs: Vec<MoldableJob> = state.world[..state.grown]
-            .iter()
-            .map(|w| w.job.clone())
-            .collect();
-        let instance = Instance::new(system, dag, jobs).map_err(|e| e.to_string())?;
-        let plan = Schedule::new(
-            (0..state.grown)
-                .map(|j| {
-                    if state.snapshot.started[j] {
-                        ScheduledJob {
-                            job: j,
-                            start: state.snapshot.start[j],
-                            finish: state.snapshot.finish[j],
-                            alloc: state.snapshot.alloc_used[j].clone(),
-                        }
-                    } else {
-                        placeholder_entry(j, d)
-                    }
-                })
-                .collect(),
-        );
-        let mut run = SimRun::resume(
-            instance,
-            plan,
-            &state.snapshot,
-            core.config.perturbation.clone(),
-            None,
-        )
-        .map_err(|e| e.to_string())?;
-        if !core.config.failures.is_failure_free() {
-            // The sampler resumes at the snapshot's recorded attempt count,
-            // so the post-recovery failure stream continues byte-identically.
-            run.set_failures(core.config.failures.clone());
-        }
-        let abandoned = |j: usize| state.snapshot.abandoned.get(j).copied().unwrap_or(false);
-        core.pending = (0..state.grown)
-            .filter(|&j| !state.snapshot.started[j] && !abandoned(j))
-            .chain(state.grown..state.world.len())
-            .collect();
-        core.needs_sync.clear();
-        core.run = Some(run);
-        core.feed = Some(ChannelSource::feeder());
         core.world = state.world;
         core.edges = state.edges;
         core.capacities_now = state.capacities_now;
         core.capacities_max = state.capacities_max;
+        core.grown = state.grown;
+        core.edge_cursor = state.edge_cursor;
+        core.rebuild_engine(&state.snapshot)?;
         core.ledger = EventLedger::restore(state.ledger_events, state.ledger_watermark);
         core.metrics = state.metrics;
         core.flight = FlightRecorder::restore(state.flight_records, state.flight_total);
@@ -684,8 +640,6 @@ impl ServiceCore {
         core.virtual_now = state.virtual_now;
         core.plan_updates_applied = state.plan_updates_applied;
         core.plan_entries_unchanged = state.plan_entries_unchanged;
-        core.grown = state.grown;
-        core.edge_cursor = state.edge_cursor;
         core.recoveries = state.recoveries;
         core.truncated_bytes = state.truncated_bytes;
         core.quarantine = state.quarantine;
@@ -1270,6 +1224,14 @@ impl ServiceCore {
                 snapshot.now, self.virtual_now
             ));
         }
+        self.rebuild_engine(&snapshot)
+    }
+
+    /// Rebuilds the live engine from `snapshot` against the service's world
+    /// record (`world[..grown]`, `edges[..edge_cursor]`, `capacities_max`)
+    /// and re-derives the pending frontier from the restored flags. Nothing
+    /// changes when it fails.
+    fn rebuild_engine(&mut self, snapshot: &SimSnapshot) -> Result<(), String> {
         let d = self.num_resource_types();
         let system = SystemConfig::new(self.capacities_max.clone()).map_err(|e| e.to_string())?;
         let dag = Dag::from_edges(self.grown, &self.edges[..self.edge_cursor])
@@ -1301,15 +1263,16 @@ impl ServiceCore {
         let mut run = SimRun::resume(
             instance,
             plan,
-            &snapshot,
+            snapshot,
             self.config.perturbation.clone(),
             None,
         )
         .map_err(|e| e.to_string())?;
         if !self.config.failures.is_failure_free() {
+            // The sampler resumes at the snapshot's recorded attempt count,
+            // so the post-recovery failure stream continues byte-identically.
             run.set_failures(self.config.failures.clone());
         }
-        // Re-derive the service-side frontier from the restored flags.
         let abandoned = |j: usize| snapshot.abandoned.get(j).copied().unwrap_or(false);
         self.pending = (0..self.grown)
             .filter(|&j| !snapshot.started[j] && !abandoned(j))

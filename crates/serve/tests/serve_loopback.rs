@@ -1,4 +1,4 @@
-//! Loopback end-to-end test of the acceptance criterion: an in-process
+//! Loopback end-to-end test of the serving contract: an in-process
 //! server fed a 3-tenant mixed stream (two DAGs + singleton jobs + one
 //! capacity drop) over real TCP must complete every admitted job, produce a
 //! feasible realized schedule, and be **byte-identical** across same-order

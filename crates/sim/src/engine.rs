@@ -355,7 +355,7 @@ impl Simulator {
 /// O(live state) instead of O(history). Snapshots written before harvesting
 /// existed deserialise with both fields at zero (nothing harvested), so old
 /// checkpoints keep loading.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimSnapshot {
     /// Seed of the perturbation stream.
     pub seed: u64,
@@ -389,6 +389,7 @@ pub struct SimSnapshot {
     /// predecessor complete; NaN = not yet ready). Snapshots written before
     /// this field existed deserialise as all-NaN, and the explain analyzer
     /// falls back to deriving readiness from the trace.
+    #[serde(default)]
     pub ready_time: Vec<f64>,
     /// Allocation each job ran (or is planned to run) with.
     pub alloc_used: Vec<Allocation>,
@@ -399,9 +400,11 @@ pub struct SimSnapshot {
     pub events: Vec<TraceEvent>,
     /// How many events were harvested out of the retained log before this
     /// checkpoint (zero for pre-harvest snapshots).
+    #[serde(default)]
     pub harvested_events: usize,
     /// Virtual-time watermark of the last harvest: every harvested event has
     /// time `<=` this (zero for pre-harvest snapshots).
+    #[serde(default)]
     pub harvested_until: f64,
     /// Events consumed from the budget so far.
     pub event_budget: usize,
@@ -409,56 +412,23 @@ pub struct SimSnapshot {
     pub perturber_realizations: u64,
     /// Per-job count of attempts consumed so far (empty for pre-failure
     /// snapshots: no attempts beyond the implicit single one).
+    #[serde(default)]
     pub attempts: Vec<u32>,
     /// Per-job virtual time at which a failed job becomes eligible again
     /// (NaN = not in backoff; empty for pre-failure snapshots).
+    #[serde(default)]
     pub retry_at: Vec<f64>,
     /// Per-job abandoned flag (empty for pre-failure snapshots).
+    #[serde(default)]
     pub abandoned: Vec<bool>,
     /// Planned death point of each running attempt (`None` = the attempt
     /// will complete; empty for pre-failure snapshots).
+    #[serde(default)]
     pub fail_cause: Vec<Option<FailCause>>,
     /// Failure-sampler attempts judged so far (zero for pre-failure
     /// snapshots).
+    #[serde(default)]
     pub failure_attempts: u64,
-}
-
-// Hand-written so that snapshots serialised before the harvesting fields
-// existed still load (the vendored serde_derive has no `#[serde(default)]`).
-impl Deserialize for SimSnapshot {
-    fn from_value(
-        v: &serde::__private::Value,
-    ) -> std::result::Result<Self, serde::__private::Error> {
-        use serde::__private::{field, opt_field};
-        Ok(SimSnapshot {
-            seed: field(v, "seed")?,
-            now: field(v, "now")?,
-            capacities: field(v, "capacities")?,
-            available: field(v, "available")?,
-            ready: field(v, "ready")?,
-            released: field(v, "released")?,
-            started: field(v, "started")?,
-            completed: field(v, "completed")?,
-            running: field(v, "running")?,
-            remaining_preds: field(v, "remaining_preds")?,
-            start: field(v, "start")?,
-            finish: field(v, "finish")?,
-            nominal: field(v, "nominal")?,
-            alloc_used: field(v, "alloc_used")?,
-            num_completed: field(v, "num_completed")?,
-            ready_time: opt_field(v, "ready_time")?.unwrap_or_default(),
-            events: field(v, "events")?,
-            harvested_events: opt_field(v, "harvested_events")?.unwrap_or(0),
-            harvested_until: opt_field(v, "harvested_until")?.unwrap_or(0.0),
-            event_budget: field(v, "event_budget")?,
-            perturber_realizations: field(v, "perturber_realizations")?,
-            attempts: opt_field(v, "attempts")?.unwrap_or_default(),
-            retry_at: opt_field(v, "retry_at")?.unwrap_or_default(),
-            abandoned: opt_field(v, "abandoned")?.unwrap_or_default(),
-            fail_cause: opt_field(v, "fail_cause")?.unwrap_or_default(),
-            failure_attempts: opt_field(v, "failure_attempts")?.unwrap_or(0),
-        })
-    }
 }
 
 impl SimSnapshot {

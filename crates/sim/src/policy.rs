@@ -467,17 +467,14 @@ impl Policy for ReactiveListPolicy {
 ///
 /// Reschedules are **debounced** so the policy no longer thrashes under pure
 /// noise at high sigma: after a reschedule, further arrival/straggler
-/// triggers are ignored for `min_interval_frac ×` the planned makespan, and
+/// triggers are ignored for a quarter of the planned makespan, and
 /// straggler triggers additionally require the run to actually be late —
-/// current time above `stretch_threshold ×` the planned finish time of the
-/// work completed so far. Capacity changes are structural and always
-/// reschedule.
+/// current time above 1.25 × the planned finish time of the work completed
+/// so far. Capacity changes are structural and always reschedule.
 #[derive(Debug, Clone)]
 pub struct FullReschedulePolicy {
     config: MrlsConfig,
     straggler_threshold: f64,
-    min_interval_frac: f64,
-    stretch_threshold: f64,
     scheduler: ListScheduler,
     decision: Vec<Allocation>,
     keys: Vec<f64>,
@@ -490,18 +487,22 @@ pub struct FullReschedulePolicy {
     planned_completed_max: f64,
 }
 
+/// Minimum virtual time between reschedules, as a fraction of the planned
+/// makespan.
+const MIN_INTERVAL_FRAC: f64 = 0.25;
+
+/// Lateness factor at or below which straggler triggers are ignored.
+const STRETCH_THRESHOLD: f64 = 1.25;
+
 impl FullReschedulePolicy {
-    /// Creates the policy with the default debounce (see
-    /// [`FullReschedulePolicy::with_debounce`]). `config` drives the
-    /// re-invoked scheduler; `straggler_threshold` is the realized/nominal
-    /// factor above which a completion counts as a straggler.
+    /// Creates the policy. `config` drives the re-invoked scheduler;
+    /// `straggler_threshold` is the realized/nominal factor above which a
+    /// completion counts as a straggler.
     pub fn new(config: MrlsConfig, straggler_threshold: f64) -> Self {
         let priority = config.priority.clone();
         FullReschedulePolicy {
             config,
             straggler_threshold: straggler_threshold.max(1.0),
-            min_interval_frac: 0.25,
-            stretch_threshold: 1.25,
             scheduler: ListScheduler::new(priority),
             decision: Vec::new(),
             keys: Vec::new(),
@@ -511,17 +512,6 @@ impl FullReschedulePolicy {
             last_reschedule: f64::NEG_INFINITY,
             planned_completed_max: 0.0,
         }
-    }
-
-    /// Overrides the debounce: `min_interval_frac` is the minimum virtual
-    /// time between reschedules as a fraction of the planned makespan (zero
-    /// disables the interval), and `stretch_threshold` is the lateness factor
-    /// below which straggler triggers are ignored (`<= 1` disables the
-    /// hysteresis).
-    pub fn with_debounce(mut self, min_interval_frac: f64, stretch_threshold: f64) -> Self {
-        self.min_interval_frac = min_interval_frac.max(0.0);
-        self.stretch_threshold = stretch_threshold;
-        self
     }
 
     /// (Re-)derives replay priorities over the given live frontier and
@@ -540,7 +530,7 @@ impl FullReschedulePolicy {
             self.decision[j] = state.plan.jobs[j].alloc.clone();
             self.keys[j] = state.plan.jobs[j].start;
         }
-        self.min_interval = self.min_interval_frac * state.plan.makespan.max(0.0);
+        self.min_interval = MIN_INTERVAL_FRAC * state.plan.makespan.max(0.0);
         self.last_reschedule = f64::NEG_INFINITY;
         self.mirror.rebuild(state, live, &self.keys, &self.decision);
         self.settled = false;
@@ -586,7 +576,7 @@ impl FullReschedulePolicy {
         if state.now - self.last_reschedule < self.min_interval {
             return true;
         }
-        trigger == "straggler" && self.progress_stretch(state) <= self.stretch_threshold
+        trigger == "straggler" && self.progress_stretch(state) <= STRETCH_THRESHOLD
     }
 
     /// Recomputes allocations and priorities for every pending (unstarted)

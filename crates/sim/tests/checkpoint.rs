@@ -208,6 +208,45 @@ fn old_format_snapshots_still_load() {
     assert!(SimSnapshot::from_json(&corrupt).is_err());
 }
 
+/// Snapshots serialised before `ready_time` existed still load, and resume
+/// to the same trace as the full snapshot.
+#[test]
+fn pre_ready_time_snapshots_still_load() {
+    let (instance, plan) = setup(14, 2);
+    let sim = Simulator::new(noisy_config(Scenario::offline()));
+    let plan = normalize_plan(&instance, &plan).unwrap();
+    let (mut run, mut source) = sim.start(&instance, &plan).unwrap();
+    run.drive_until(
+        PolicyKind::ReactiveList.build().as_mut(),
+        &mut source,
+        0.4 * plan.makespan,
+    )
+    .unwrap();
+    let json = run.checkpoint().to_json();
+
+    // Cut the key and its array (numbers and nulls, no nested brackets) up
+    // to the next key, which follows it mid-object.
+    let start = json
+        .find("\"ready_time\"")
+        .expect("new format has ready_time");
+    let close = start + json[start..].find(']').unwrap();
+    let next_key = close + json[close..].find('"').unwrap();
+    let old_format = format!("{}{}", &json[..start], &json[next_key..]);
+    assert!(!old_format.contains("ready_time"));
+    let snapshot = SimSnapshot::from_json(&old_format).expect("old format must load");
+    assert!(snapshot.ready_time.is_empty());
+
+    let reference = SimSnapshot::from_json(&json).unwrap();
+    assert!(reference.ready_time.iter().any(|t| !t.is_nan()));
+    let drive_on = |snapshot: &SimSnapshot| {
+        let (mut run, mut source) = sim.resume(&instance, &plan, snapshot).unwrap();
+        run.drive(PolicyKind::ReactiveList.build().as_mut(), &mut source)
+            .unwrap();
+        run.into_trace("reactive-list").to_json()
+    };
+    assert_eq!(drive_on(&reference), drive_on(&snapshot));
+}
+
 #[test]
 fn snapshots_reject_mismatched_worlds() {
     let (instance, plan) = setup(12, 1);
