@@ -106,9 +106,11 @@ pub struct ScheduleResult {
     pub adjusted: Vec<bool>,
     /// The Phase-2 schedule.
     pub schedule: Schedule,
-    /// The best certified lower bound on the optimal makespan.
+    /// The certified lower bound: the largest of the bounds over the
+    /// candidate sets, capped at `L(p)` of `decision` (Lemma 1), so it never
+    /// exceeds the makespan of a schedule of `decision`.
     pub lower_bound: f64,
-    /// All individual lower bounds.
+    /// All individual lower bounds; `best` is `lower_bound`.
     pub lower_bounds: LowerBounds,
     /// The resolved parameters and the theoretical guarantee.
     pub params: ResolvedParams,
@@ -148,9 +150,16 @@ impl MrlsScheduler {
         &self.config
     }
 
-    /// Runs both phases on `instance`.
+    /// Runs both phases on `instance`. Adds the number of jobs it profiled
+    /// to the obs counter `plan.profiles.jobs` and the number of profile
+    /// points they kept to `plan.profiles.points`.
     pub fn schedule(&self, instance: &Instance) -> Result<ScheduleResult> {
         let profiles = instance.profiles()?;
+        if mrls_obs::enabled() {
+            mrls_obs::counter_add("plan.profiles.jobs", profiles.len() as u64);
+            let points = profiles.iter().map(|p| p.len() as u64).sum();
+            mrls_obs::counter_add("plan.profiles.points", points);
+        }
         self.schedule_with_profiles(instance, &profiles)
     }
 
@@ -247,11 +256,23 @@ impl MrlsScheduler {
         let schedule =
             ListScheduler::new(self.config.priority.clone()).schedule(instance, &decision)?;
 
-        // Lower bounds for normalisation.
+        // Lower bounds for normalisation. Each is taken over the candidate
+        // sets, which the µ-adjustment can leave: a capped non-monotone job
+        // can run faster than at any candidate. L(p) of the returned
+        // decision bounds every schedule of it (Lemma 1), so the reported
+        // bound is capped there. Without the adjustment `p` lies in the
+        // candidate sets, and the cap binds only by rounding (the LP's
+        // optimum can exceed the exact critical path by a few ulps).
         let mut lower_bounds = combinatorial_lower_bound(instance, profiles);
         if let Some(lb) = certified_lb {
             lower_bounds.lp_bound = Some(lb);
             lower_bounds.best = lower_bounds.best.max(lb);
+        }
+        if let Ok(l) = instance.lower_bound_of(&decision) {
+            if l < lower_bounds.best {
+                lower_bounds.best = l;
+                mrls_obs::counter_add("plan.lower_bound.capped", 1);
+            }
         }
 
         let ratio_guarantee = match kind {

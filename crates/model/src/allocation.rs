@@ -60,9 +60,9 @@ impl SystemConfig {
     }
 
     /// The total number of distinct positive allocations `Q = Π_i P(i)`,
-    /// computed in 128-bit to avoid overflow for large systems.
+    /// computed in 128-bit; `u128::MAX` if even that overflows.
     pub fn full_grid_size(&self) -> u128 {
-        self.capacities.iter().map(|&c| c as u128).product()
+        crate::space::grid_size(self.capacities.iter().map(|&c| c as u128))
     }
 
     /// Validates an allocation against this system: right dimension, within

@@ -108,6 +108,12 @@ impl ExecTimeSpec {
     /// least one unit of every resource type the model refers to; this is
     /// enforced upstream by [`crate::SystemConfig::validate_allocation`].
     pub fn time(&self, alloc: &Allocation) -> f64 {
+        self.time_of(alloc.amounts())
+    }
+
+    /// [`ExecTimeSpec::time`] on the per-type amounts of an allocation, so
+    /// the profile builder can evaluate candidates held in one reused buffer.
+    pub(crate) fn time_of(&self, alloc: &[u64]) -> f64 {
         match self {
             ExecTimeSpec::Amdahl { seq, work } => {
                 let mut t = *seq;
@@ -167,7 +173,7 @@ impl ExecTimeSpec {
                 // tabulated configuration, never run slower).
                 let mut best: Option<f64> = None;
                 for (amounts, t) in entries {
-                    let fits = amounts.len() == alloc.dim()
+                    let fits = amounts.len() == alloc.len()
                         && amounts.iter().enumerate().all(|(i, &a)| a <= alloc[i]);
                     if fits {
                         best = Some(match best {

@@ -11,7 +11,7 @@
 use crate::allocation::{Allocation, SystemConfig};
 use crate::error::ModelError;
 use crate::exectime::ExecTimeSpec;
-use crate::space::AllocationSpace;
+use crate::space::{AllocationSpace, Candidates};
 use crate::Result;
 use serde::{Deserialize, Serialize};
 
@@ -59,11 +59,46 @@ impl AllocPoint {
 
 /// Average area of an allocation with a given execution time (Definition 1).
 pub fn average_area(alloc: &Allocation, time: f64, system: &SystemConfig) -> f64 {
+    average_area_of(alloc.amounts(), time, system)
+}
+
+/// [`average_area`] on the per-type amounts of an allocation.
+fn average_area_of(alloc: &[u64], time: f64, system: &SystemConfig) -> f64 {
     let d = system.num_resource_types();
     let sum: f64 = (0..d)
         .map(|i| alloc[i] as f64 * time / system.capacity(i) as f64)
         .sum();
     sum / d as f64
+}
+
+/// Equation 2's sweep over points sorted by `(time, area)`: keeps, in
+/// order, every point that no strictly faster point beats with a strictly
+/// smaller area, and drops the rest. Points whose times differ by at most
+/// `1e-12` form one group and cannot dominate each other.
+fn retain_non_dominated<T>(sorted: &mut Vec<T>, time_area: impl Fn(&T) -> (f64, f64)) {
+    let mut kept = 0usize;
+    let mut best_area_strictly_faster = f64::INFINITY;
+    let mut i = 0usize;
+    while i < sorted.len() {
+        let t = time_area(&sorted[i]).0;
+        let mut group_end = i;
+        while group_end < sorted.len() && (time_area(&sorted[group_end]).0 - t).abs() <= 1e-12 {
+            group_end += 1;
+        }
+        let mut group_min_area = f64::INFINITY;
+        for k in i..group_end {
+            // Slots `kept..k` hold dropped points only.
+            let area = time_area(&sorted[k]).1;
+            if area <= best_area_strictly_faster {
+                sorted.swap(kept, k);
+                kept += 1;
+            }
+            group_min_area = group_min_area.min(area);
+        }
+        best_area_strictly_faster = best_area_strictly_faster.min(group_min_area);
+        i = group_end;
+    }
+    sorted.truncate(kept);
 }
 
 /// The non-dominated allocation set `N_j` of one job, sorted by increasing
@@ -74,9 +109,18 @@ pub struct JobProfile {
 }
 
 impl JobProfile {
-    /// Builds the profile of a job: enumerate the candidate allocations,
-    /// evaluate the execution-time model, and prune dominated points
-    /// (Equation 2).
+    /// Builds the profile of a job: evaluate the execution-time model on
+    /// every candidate allocation and prune dominated points (Equation 2).
+    ///
+    /// Candidates are evaluated in place (a grid through one reused buffer)
+    /// and recorded as `(candidate index, time, area)`; an `Allocation` is
+    /// built only for the points kept. Every recorded time is finite and
+    /// positive and every area is non-negative and never `-0.0` or NaN, so
+    /// ordering by `total_cmp` on time, then area, then the index is the
+    /// order a stable sort of the candidates by time and area gives. The
+    /// test-only `reference` submodule keeps the builder that materialised
+    /// every candidate, and the `build_is_pinned_to_the_reference_*` tests
+    /// compare the two bit for bit.
     pub fn build(
         spec: &ExecTimeSpec,
         space: &AllocationSpace,
@@ -84,35 +128,74 @@ impl JobProfile {
         job: usize,
         enumeration_limit: u128,
     ) -> Result<JobProfile> {
-        let allocs = space.enumerate(system, enumeration_limit).map_err(|e| {
-            if let ModelError::EmptyAllocationSpace { .. } = e {
-                ModelError::EmptyAllocationSpace { job }
-            } else {
-                e
-            }
-        })?;
+        let candidates = space
+            .candidates(system, enumeration_limit)
+            .map_err(|e| match e {
+                ModelError::EmptyAllocationSpace { .. } => ModelError::EmptyAllocationSpace { job },
+                e => e,
+            })?;
         // Allocations on which the model cannot run (e.g. zero units of a
         // resource type the job genuinely needs → infinite time) are simply
         // not usable points; drop them. Only error out if nothing remains.
-        let mut points = Vec::with_capacity(allocs.len());
+        let mut records: Vec<(usize, f64, f64)> = Vec::with_capacity(candidates.len());
         let mut last_invalid = 0.0f64;
-        for alloc in allocs {
-            system.validate_allocation(&alloc)?;
-            let time = spec.time(&alloc);
+        let mut record = |k: usize, alloc: &[u64], time: f64| {
             if !time.is_finite() || time <= 0.0 {
                 last_invalid = time;
-                continue;
+                return;
             }
-            let area = average_area(&alloc, time, system);
-            points.push(AllocPoint { alloc, time, area });
+            records.push((k, time, average_area_of(alloc, time, system)));
+        };
+        match &candidates {
+            Candidates::Grid(grid) => match spec {
+                // `time_of` with each `powf` taken once per axis value: the
+                // same inputs give the same `f64`, and grid values are at
+                // least 1, so no zero component makes the time infinite.
+                ExecTimeSpec::PowerLaw { base, alpha } => {
+                    let powers: Vec<Vec<f64>> = alpha
+                        .iter()
+                        .zip(grid.axes())
+                        .map(|(&a, axis)| axis.iter().map(|&v| (v as f64).powf(a)).collect())
+                        .collect();
+                    grid.for_each(|k, digits, alloc| {
+                        let mut t = *base;
+                        for (i, &a) in alpha.iter().enumerate() {
+                            if a > 0.0 {
+                                t /= powers[i][digits[i]];
+                            }
+                        }
+                        record(k, alloc, t)
+                    })
+                }
+                _ => grid.for_each(|k, _, alloc| record(k, alloc, spec.time_of(alloc))),
+            },
+            Candidates::Explicit(allocs) => {
+                for (k, alloc) in allocs.iter().enumerate() {
+                    record(k, alloc.amounts(), spec.time_of(alloc.amounts()));
+                }
+            }
         }
-        if points.is_empty() {
+        if records.is_empty() {
             return Err(ModelError::InvalidExecutionTime {
                 job,
                 value: last_invalid,
             });
         }
-        Ok(JobProfile::from_points(points, job))
+        records.sort_unstable_by(|a, b| {
+            a.1.total_cmp(&b.1)
+                .then(a.2.total_cmp(&b.2))
+                .then(a.0.cmp(&b.0))
+        });
+        retain_non_dominated(&mut records, |r| (r.1, r.2));
+        let points = records
+            .iter()
+            .map(|&(k, time, area)| AllocPoint {
+                alloc: candidates.get(k),
+                time,
+                area,
+            })
+            .collect();
+        Ok(JobProfile { points })
     }
 
     /// Builds a profile from explicit points, pruning dominated ones. The
@@ -133,34 +216,9 @@ impl JobProfile {
                         .unwrap_or(std::cmp::Ordering::Equal),
                 )
         });
-        let mut kept: Vec<AllocPoint> = Vec::new();
-        let mut best_area_strictly_faster = f64::INFINITY;
-        let mut i = 0usize;
-        while i < points.len() {
-            // Process all points with (numerically) equal time together: they
-            // cannot dominate each other via Equation 2's strict time
-            // inequality.
-            let t = points[i].time;
-            let mut group_end = i;
-            while group_end < points.len() && (points[group_end].time - t).abs() <= 1e-12 {
-                group_end += 1;
-            }
-            for p in &points[i..group_end] {
-                // Equation 2 uses *strict* inequalities on both coordinates:
-                // a point is dominated only if some strictly faster point has
-                // strictly smaller area.
-                if p.area <= best_area_strictly_faster {
-                    kept.push(p.clone());
-                }
-            }
-            let group_min_area = points[i..group_end]
-                .iter()
-                .map(|p| p.area)
-                .fold(f64::INFINITY, f64::min);
-            best_area_strictly_faster = best_area_strictly_faster.min(group_min_area);
-            i = group_end;
-        }
-        JobProfile { points: kept }
+        retain_non_dominated(&mut points, |p| (p.time, p.area));
+        points.shrink_to_fit();
+        JobProfile { points }
     }
 
     /// The non-dominated points, sorted by increasing time.
@@ -258,6 +316,9 @@ impl JobProfile {
         true
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -476,5 +537,339 @@ mod tests {
         let json = serde_json::to_string(&profile).unwrap();
         let back: JobProfile = serde_json::from_str(&json).unwrap();
         assert_eq!(profile, back);
+    }
+
+    /// SplitMix64: the pin's fixed-seed stream of cases.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// A value on a coarse grid half the time, so that times and areas
+        /// tie exactly between candidates.
+        fn value(&mut self, lo: f64, hi: f64) -> f64 {
+            if self.below(2) == 0 {
+                lo + (hi - lo) * self.below(9) as f64 / 8.0
+            } else {
+                lo + (hi - lo) * self.unit()
+            }
+        }
+    }
+
+    /// Asserts that `build` and the reference give the same `Ok`/`Err`
+    /// (variant and value), the same points in the same order, allocations
+    /// equal and times and areas equal bit for bit. Returns whether the
+    /// build succeeded.
+    fn assert_pinned(
+        spec: &ExecTimeSpec,
+        space: &AllocationSpace,
+        system: &SystemConfig,
+        limit: u128,
+    ) -> bool {
+        let new = JobProfile::build(spec, space, system, 7, limit);
+        let old = reference::build_reference(spec, space, system, 7, limit);
+        let case = || {
+            format!(
+                "{spec:?} on {space:?}, capacities {:?}",
+                system.capacities()
+            )
+        };
+        match (new, old) {
+            (Ok(new), Ok(old)) => {
+                assert_eq!(new.len(), old.len(), "point count: {}", case());
+                for (p, q) in new.points().iter().zip(old.points()) {
+                    assert_eq!(p.alloc, q.alloc, "{}", case());
+                    assert_eq!(p.time.to_bits(), q.time.to_bits(), "{}", case());
+                    assert_eq!(p.area.to_bits(), q.area.to_bits(), "{}", case());
+                }
+                true
+            }
+            (Err(new), Err(old)) => {
+                // `Debug` prints every float so that it reads back to the
+                // same bits, NaN as `NaN`.
+                assert_eq!(format!("{new:?}"), format!("{old:?}"), "{}", case());
+                false
+            }
+            (new, old) => panic!("{}: build {new:?}, reference {old:?}", case()),
+        }
+    }
+
+    fn random_spec(rng: &mut Rng, d: usize, caps: &[u64]) -> ExecTimeSpec {
+        // Zero work, exponents and plateaus leave a type unused, so zero
+        // components of explicit candidates run on some types only.
+        let per_type = |rng: &mut Rng, hi: f64| -> Vec<f64> {
+            (0..d)
+                .map(|_| {
+                    if rng.below(4) == 0 {
+                        0.0
+                    } else {
+                        rng.value(0.0, hi)
+                    }
+                })
+                .collect()
+        };
+        match rng.below(6) {
+            0 => ExecTimeSpec::Amdahl {
+                seq: rng.value(0.0, 4.0),
+                work: per_type(rng, 60.0),
+            },
+            1 => {
+                let alpha = per_type(rng, 1.0);
+                let sum: f64 = alpha.iter().sum::<f64>().max(1.0);
+                ExecTimeSpec::PowerLaw {
+                    base: rng.value(1.0, 90.0),
+                    alpha: alpha.iter().map(|a| a / sum).collect(),
+                }
+            }
+            2 => ExecTimeSpec::Roofline {
+                work: rng.value(1.0, 80.0),
+                plateau: caps.iter().map(|&c| rng.below(c.min(64) + 1)).collect(),
+            },
+            3 => ExecTimeSpec::CommPenalty {
+                seq: rng.value(0.0, 4.0),
+                work: per_type(rng, 60.0),
+                comm: per_type(rng, 2.0),
+            },
+            4 => {
+                let entries = (0..rng.below(5))
+                    .map(|_| {
+                        // Now and then an entry of another dimension, which
+                        // never fits.
+                        let dim = if rng.below(8) == 0 { d + 1 } else { d };
+                        let amounts = (0..dim)
+                            .map(|i| rng.below(caps.get(i).copied().unwrap_or(4).min(64) + 1))
+                            .collect();
+                        (amounts, rng.value(0.5, 40.0))
+                    })
+                    .collect();
+                let fallback = match rng.below(6) {
+                    0 => 0.0,
+                    1 => f64::INFINITY,
+                    _ => rng.value(40.0, 400.0),
+                };
+                ExecTimeSpec::Table { entries, fallback }
+            }
+            _ => ExecTimeSpec::Constant {
+                time: match rng.below(8) {
+                    0 => 0.0,
+                    1 => -1.5,
+                    2 => f64::NAN,
+                    3 => f64::INFINITY,
+                    _ => rng.value(0.5, 30.0),
+                },
+            },
+        }
+    }
+
+    fn random_space(rng: &mut Rng, caps: &[u64]) -> AllocationSpace {
+        let d = caps.len();
+        let amount = |rng: &mut Rng, cap: u64| match rng.below(10) {
+            0 => 0,
+            1 => cap.saturating_add(1 + rng.below(3)),
+            _ => 1 + rng.below(cap.min(1 << 20)),
+        };
+        match rng.below(4) {
+            0 => AllocationSpace::FullGrid,
+            1 => AllocationSpace::PowersOfTwo,
+            2 => {
+                // Duplicates, zeros and out-of-range values; now and then a
+                // list per type too many, or none left in range.
+                let axes = d + usize::from(rng.below(20) == 0);
+                AllocationSpace::PerAxis(
+                    (0..axes)
+                        .map(|i| {
+                            let cap = caps.get(i).copied().unwrap_or(4);
+                            let mut vals: Vec<u64> =
+                                (0..rng.below(6)).map(|_| amount(rng, cap)).collect();
+                            if let Some(&v) = vals.first() {
+                                vals.push(v);
+                            }
+                            vals
+                        })
+                        .collect(),
+                )
+            }
+            _ => {
+                // Zero components, repeated allocations; now and then one
+                // over capacity or all zero.
+                let n = rng.below(12);
+                let mut allocs: Vec<Allocation> = (0..n)
+                    .map(|_| {
+                        let mut a: Vec<u64> = caps
+                            .iter()
+                            .map(|&c| match rng.below(6) {
+                                0 => 0,
+                                1 => c,
+                                _ => 1 + rng.below(c),
+                            })
+                            .collect();
+                        if rng.below(25) == 0 {
+                            a[0] = caps[0] + 1;
+                        }
+                        if a.iter().all(|&x| x == 0) && rng.below(4) != 0 {
+                            a[d - 1] = 1;
+                        }
+                        Allocation::new(a)
+                    })
+                    .collect();
+                if n > 0 && rng.below(3) == 0 {
+                    let k = rng.below(n) as usize;
+                    allocs.push(allocs[k].clone());
+                }
+                AllocationSpace::Explicit(allocs)
+            }
+        }
+    }
+
+    /// Every speedup family under every space kind, on random machines
+    /// (among them capacities just below `u64::MAX`, where the reference's
+    /// powers-of-two loop still ends) and random limits.
+    #[test]
+    fn build_is_pinned_to_the_reference_on_random_cases() {
+        let mut rng = Rng(0x5eed_9f0f);
+        let mut outcomes = std::collections::BTreeMap::new();
+        for _ in 0..3000 {
+            let d = 1 + rng.below(3) as usize;
+            let caps: Vec<u64> = (0..d)
+                .map(|_| match rng.below(12) {
+                    0 => u64::MAX - 1 - rng.below(1 << 62),
+                    1 => 1,
+                    _ => 1 + rng.below(if d == 3 { 10 } else { 24 }),
+                })
+                .collect();
+            let system = SystemConfig::new(caps.clone()).unwrap();
+            let spec = random_spec(&mut rng, d, &caps);
+            let space = random_space(&mut rng, &caps);
+            let limit = if rng.below(10) == 0 {
+                rng.below(40) as u128
+            } else {
+                DEFAULT_ENUMERATION_LIMIT
+            };
+            let ok = assert_pinned(&spec, &space, &system, limit);
+            let space_kind = format!("{space:?}");
+            let space_kind = space_kind.split('(').next().unwrap().to_string();
+            let spec_kind = format!("{spec:?}");
+            let spec_kind = spec_kind.split(' ').next().unwrap().to_string();
+            *outcomes.entry((spec_kind, space_kind, ok)).or_insert(0) += 1;
+        }
+        // Every family under every space kind built at least one profile.
+        for spec in [
+            "Amdahl",
+            "PowerLaw",
+            "Roofline",
+            "CommPenalty",
+            "Table",
+            "Constant",
+        ] {
+            for space in ["FullGrid", "PowersOfTwo", "PerAxis", "Explicit"] {
+                let key = (spec.to_string(), space.to_string(), true);
+                assert!(
+                    outcomes.contains_key(&key),
+                    "no {spec} profile on {space}: {outcomes:?}"
+                );
+            }
+        }
+        assert!(outcomes.iter().any(|((_, _, ok), _)| !ok));
+    }
+
+    /// Jobs of the `mrls generate` recipe (d = 3, P = 16, powers-of-two
+    /// candidates) on every graph class the benchmark plans, under each
+    /// speedup family and under the other grid spaces.
+    #[test]
+    fn build_is_pinned_to_the_reference_on_recipe_instances() {
+        use mrls_workload::{DagRecipe, InstanceRecipe, JobRecipe, SpeedupFamily, SystemRecipe};
+        let dags = [
+            DagRecipe::Independent { n: 60 },
+            DagRecipe::Chain { n: 40 },
+            DagRecipe::RandomLayered {
+                n: 20,
+                layers: 5,
+                edge_prob: 0.3,
+            },
+            DagRecipe::ForkJoin {
+                width: 10,
+                stages: 3,
+            },
+            DagRecipe::RandomOutTree {
+                n: 40,
+                max_children: 3,
+            },
+            DagRecipe::RandomInTree {
+                n: 40,
+                max_children: 3,
+            },
+            DagRecipe::RandomSeriesParallel {
+                n: 40,
+                series_prob: 0.5,
+            },
+            DagRecipe::Cholesky { tiles: 4 },
+            DagRecipe::Epigenomics {
+                branches: 4,
+                depth: 4,
+            },
+        ];
+        let families = [
+            SpeedupFamily::Mixed,
+            SpeedupFamily::Amdahl,
+            SpeedupFamily::PowerLaw,
+            SpeedupFamily::Roofline,
+            SpeedupFamily::CommPenalty,
+        ];
+        let mut jobs = 0;
+        for (k, dag) in dags.iter().enumerate() {
+            for (f, family) in families.iter().enumerate() {
+                // The generator takes and builds the other compilation of
+                // this crate's types; JSON carries them, every float exactly.
+                let recipe = InstanceRecipe {
+                    system: SystemRecipe::Uniform { d: 3, p: 16 },
+                    dag: dag.clone(),
+                    jobs: JobRecipe {
+                        family: *family,
+                        work_range: (10.0, 80.0),
+                        seq_fraction_range: (0.0, 0.2),
+                        space: serde_json::from_str(
+                            &serde_json::to_string(&AllocationSpace::PowersOfTwo).unwrap(),
+                        )
+                        .unwrap(),
+                        heavy_kind_factor: 2.0,
+                    },
+                };
+                let generated = recipe.generate(1 + 10 * k as u64 + f as u64).instance;
+                let instance = crate::Instance::from_json(&generated.to_json()).unwrap();
+                for job in &instance.jobs {
+                    for space in [&job.space, &AllocationSpace::FullGrid] {
+                        assert!(assert_pinned(
+                            &job.spec,
+                            space,
+                            &instance.system,
+                            DEFAULT_ENUMERATION_LIMIT
+                        ));
+                    }
+                    let per_axis = AllocationSpace::PerAxis(vec![vec![16, 3, 7, 3, 0, 40]; 3]);
+                    assert!(assert_pinned(
+                        &job.spec,
+                        &per_axis,
+                        &instance.system,
+                        DEFAULT_ENUMERATION_LIMIT
+                    ));
+                    jobs += 1;
+                }
+            }
+        }
+        assert!(jobs > 1000, "{jobs} jobs");
     }
 }

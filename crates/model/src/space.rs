@@ -4,11 +4,14 @@
 //! allocations of a job; the paper enumerates all `Q = Π_i P(i)` of them.
 //! That is fine for small systems but explodes combinatorially, so this
 //! module also offers restricted candidate grids (per-axis value lists,
-//! powers of two). Restricting the candidate set only *removes* moldability
-//! options — every remaining allocation still satisfies Assumptions 1–3 — so
-//! all guarantees that are relative to the best allocation *within the
-//! candidate set* continue to hold; this substitution is documented in
-//! DESIGN.md.
+//! powers of two). Every candidate still satisfies Assumptions 1–3, and the
+//! allocators choose among the candidates only, so the guarantees hold
+//! relative to the best allocation *within the candidate set*, and so do the
+//! lower bounds taken over it. The µ-adjustment (Equation 5) caps amounts at
+//! `⌈µ·P(i)⌉`, which need not be a candidate; a non-monotone job can run
+//! faster there than at any candidate. So the certified bound that
+//! `MrlsScheduler` reports is capped at `L(p)` of the decision it returns
+//! (Lemma 1).
 
 use crate::allocation::{Allocation, SystemConfig};
 use crate::error::ModelError;
@@ -33,145 +36,195 @@ pub enum AllocationSpace {
     Explicit(Vec<Allocation>),
 }
 
-impl AllocationSpace {
-    /// Enumerates the candidate allocations for a system, respecting the
-    /// safety `limit` on the number of points (use
-    /// [`DEFAULT_ENUMERATION_LIMIT`] unless you know better).
-    pub fn enumerate(&self, system: &SystemConfig, limit: u128) -> Result<Vec<Allocation>> {
-        let d = system.num_resource_types();
+/// The checked candidates of a space on one system: a grid walked without
+/// materialising its allocations, or an explicit list.
+pub(crate) enum Candidates<'a> {
+    /// Every combination of one value per axis.
+    Grid(Grid),
+    /// The listed allocations, each validated against the system.
+    Explicit(&'a [Allocation]),
+}
+
+impl Candidates<'_> {
+    /// Number of candidates.
+    pub(crate) fn len(&self) -> usize {
         match self {
-            AllocationSpace::FullGrid => {
-                let size = system.full_grid_size();
-                if size > limit {
-                    return Err(ModelError::AllocationSpaceTooLarge { size, limit });
-                }
-                let axes: Vec<Vec<u64>> =
-                    (0..d).map(|i| (1..=system.capacity(i)).collect()).collect();
-                Ok(cartesian(&axes))
-            }
-            AllocationSpace::PowersOfTwo => {
-                let axes: Vec<Vec<u64>> = (0..d)
-                    .map(|i| {
-                        let cap = system.capacity(i);
-                        let mut vals: Vec<u64> = Vec::new();
-                        let mut v = 1u64;
-                        while v <= cap {
-                            vals.push(v);
-                            v = v.saturating_mul(2);
-                        }
-                        if *vals.last().expect("at least 1") != cap {
-                            vals.push(cap);
-                        }
-                        vals
-                    })
-                    .collect();
-                let size: u128 = axes.iter().map(|a| a.len() as u128).product();
-                if size > limit {
-                    return Err(ModelError::AllocationSpaceTooLarge { size, limit });
-                }
-                Ok(cartesian(&axes))
-            }
-            AllocationSpace::PerAxis(values) => {
-                if values.len() != d {
-                    return Err(ModelError::DimensionMismatch {
-                        expected: d,
-                        got: values.len(),
-                    });
-                }
-                let axes: Vec<Vec<u64>> = values
-                    .iter()
-                    .enumerate()
-                    .map(|(i, vals)| {
-                        let mut v: Vec<u64> = vals
-                            .iter()
-                            .copied()
-                            .filter(|&x| x >= 1 && x <= system.capacity(i))
-                            .collect();
-                        v.sort_unstable();
-                        v.dedup();
-                        v
-                    })
-                    .collect();
-                if axes.iter().any(|a| a.is_empty()) {
-                    return Err(ModelError::EmptyAllocationSpace { job: usize::MAX });
-                }
-                let size: u128 = axes.iter().map(|a| a.len() as u128).product();
-                if size > limit {
-                    return Err(ModelError::AllocationSpaceTooLarge { size, limit });
-                }
-                Ok(cartesian(&axes))
-            }
-            AllocationSpace::Explicit(allocs) => {
-                let mut out = Vec::new();
-                for alloc in allocs {
-                    system.validate_allocation(alloc)?;
-                    out.push(alloc.clone());
-                }
-                if out.is_empty() {
-                    return Err(ModelError::EmptyAllocationSpace { job: usize::MAX });
-                }
-                if out.len() as u128 > limit {
-                    return Err(ModelError::AllocationSpaceTooLarge {
-                        size: out.len() as u128,
-                        limit,
-                    });
-                }
-                Ok(out)
-            }
+            Candidates::Grid(grid) => grid.axes.iter().map(Vec::len).product(),
+            Candidates::Explicit(allocs) => allocs.len(),
         }
     }
 
-    /// Number of candidate allocations without materialising them.
-    pub fn size(&self, system: &SystemConfig) -> u128 {
+    /// Candidate `k` as an allocation.
+    pub(crate) fn get(&self, k: usize) -> Allocation {
         match self {
-            AllocationSpace::FullGrid => system.full_grid_size(),
-            AllocationSpace::PowersOfTwo => (0..system.num_resource_types())
-                .map(|i| {
-                    let cap = system.capacity(i);
-                    let mut count = 0u128;
-                    let mut v = 1u64;
-                    while v <= cap {
-                        count += 1;
-                        v = v.saturating_mul(2);
-                    }
-                    let last_pow = 1u64 << (63 - cap.leading_zeros().min(63));
-                    if last_pow != cap {
-                        count += 1;
-                    }
-                    count
-                })
-                .product(),
-            AllocationSpace::PerAxis(values) => values
-                .iter()
-                .enumerate()
-                .map(|(i, v)| {
-                    v.iter()
-                        .filter(|&&x| x >= 1 && x <= system.capacity(i))
-                        .collect::<std::collections::BTreeSet<_>>()
-                        .len() as u128
-                })
-                .product(),
-            AllocationSpace::Explicit(a) => a.len() as u128,
+            Candidates::Grid(grid) => grid.get(k),
+            Candidates::Explicit(allocs) => allocs[k].clone(),
         }
     }
 }
 
-/// Cartesian product of per-axis value lists, in lexicographic order.
-fn cartesian(axes: &[Vec<u64>]) -> Vec<Allocation> {
-    let mut out = Vec::new();
-    let mut current = vec![0u64; axes.len()];
-    fn rec(axes: &[Vec<u64>], depth: usize, current: &mut Vec<u64>, out: &mut Vec<Allocation>) {
-        if depth == axes.len() {
-            out.push(Allocation::new(current.clone()));
-            return;
-        }
-        for &v in &axes[depth] {
-            current[depth] = v;
-            rec(axes, depth + 1, current, out);
+/// The cartesian product of per-axis value lists, none of them empty.
+/// Candidate `k` is the `k`-th combination in lexicographic order (the last
+/// axis varies fastest).
+pub(crate) struct Grid {
+    axes: Vec<Vec<u64>>,
+}
+
+impl Grid {
+    /// The value lists, one per axis.
+    pub(crate) fn axes(&self) -> &[Vec<u64>] {
+        &self.axes
+    }
+
+    /// Calls `f(k, digits, amounts)` on every candidate in index order,
+    /// where `amounts[i] = axes[i][digits[i]]`; both live in buffers reused
+    /// from one candidate to the next (an odometer over the axes).
+    pub(crate) fn for_each(&self, mut f: impl FnMut(usize, &[usize], &[u64])) {
+        let mut digits = vec![0usize; self.axes.len()];
+        let mut amounts: Vec<u64> = self.axes.iter().map(|a| a[0]).collect();
+        for k in 0.. {
+            f(k, &digits, &amounts);
+            let mut i = self.axes.len();
+            loop {
+                if i == 0 {
+                    return;
+                }
+                i -= 1;
+                digits[i] += 1;
+                if let Some(&v) = self.axes[i].get(digits[i]) {
+                    amounts[i] = v;
+                    break;
+                }
+                digits[i] = 0;
+                amounts[i] = self.axes[i][0];
+            }
         }
     }
-    rec(axes, 0, &mut current, &mut out);
-    out
+
+    /// Candidate `k` as an allocation.
+    fn get(&self, mut k: usize) -> Allocation {
+        let mut amounts = vec![0u64; self.axes.len()];
+        for (slot, axis) in amounts.iter_mut().zip(&self.axes).rev() {
+            *slot = axis[k % axis.len()];
+            k /= axis.len();
+        }
+        Allocation::new(amounts)
+    }
+}
+
+/// `Π counts`, or `u128::MAX` if that overflows, which exceeds every limit
+/// short of `u128::MAX`.
+pub(crate) fn grid_size(counts: impl IntoIterator<Item = u128>) -> u128 {
+    counts
+        .into_iter()
+        .try_fold(1u128, |size, c| size.checked_mul(c))
+        .unwrap_or(u128::MAX)
+}
+
+/// The powers of two up to `cap`, then `cap` itself if it is not one. The
+/// doubling stops at the first power above `cap` or past `u64::MAX`, so an
+/// axis has at most 65 values.
+fn powers_of_two(cap: u64) -> Vec<u64> {
+    let mut vals: Vec<u64> = std::iter::successors(Some(1u64), |v| v.checked_mul(2))
+        .take_while(|&v| v <= cap)
+        .collect();
+    if *vals.last().expect("capacities are at least 1") != cap {
+        vals.push(cap);
+    }
+    vals
+}
+
+impl AllocationSpace {
+    /// The values axis `i` of a grid space offers, ascending and distinct.
+    fn axis(&self, system: &SystemConfig, i: usize) -> Vec<u64> {
+        let cap = system.capacity(i);
+        match self {
+            AllocationSpace::FullGrid => (1..=cap).collect(),
+            AllocationSpace::PowersOfTwo => powers_of_two(cap),
+            AllocationSpace::PerAxis(values) => {
+                let mut v: Vec<u64> = values[i]
+                    .iter()
+                    .copied()
+                    .filter(|&x| x >= 1 && x <= cap)
+                    .collect();
+                v.sort_unstable();
+                v.dedup();
+                v
+            }
+            AllocationSpace::Explicit(_) => unreachable!("an explicit list has no axes"),
+        }
+    }
+
+    /// Checks the space against `system` and the safety `limit` and returns
+    /// its candidates, in the order [`AllocationSpace::enumerate`] lists them.
+    pub(crate) fn candidates(&self, system: &SystemConfig, limit: u128) -> Result<Candidates<'_>> {
+        let d = system.num_resource_types();
+        let too_large = |size: u128| -> Result<()> {
+            if size > limit {
+                return Err(ModelError::AllocationSpaceTooLarge { size, limit });
+            }
+            Ok(())
+        };
+        match self {
+            AllocationSpace::Explicit(allocs) => {
+                for alloc in allocs {
+                    system.validate_allocation(alloc)?;
+                }
+                if allocs.is_empty() {
+                    return Err(ModelError::EmptyAllocationSpace { job: usize::MAX });
+                }
+                too_large(allocs.len() as u128)?;
+                Ok(Candidates::Explicit(allocs))
+            }
+            AllocationSpace::PerAxis(values) if values.len() != d => {
+                Err(ModelError::DimensionMismatch {
+                    expected: d,
+                    got: values.len(),
+                })
+            }
+            _ => {
+                if matches!(self, AllocationSpace::FullGrid) {
+                    // Before its axes are built: they hold `P(i)` values each.
+                    too_large(system.full_grid_size())?;
+                }
+                let axes: Vec<Vec<u64>> = (0..d).map(|i| self.axis(system, i)).collect();
+                if axes.iter().any(Vec::is_empty) {
+                    return Err(ModelError::EmptyAllocationSpace { job: usize::MAX });
+                }
+                too_large(grid_size(axes.iter().map(|a| a.len() as u128)))?;
+                Ok(Candidates::Grid(Grid { axes }))
+            }
+        }
+    }
+
+    /// Enumerates the candidate allocations for a system, respecting the
+    /// safety `limit` on the number of points (use
+    /// [`DEFAULT_ENUMERATION_LIMIT`] unless you know better).
+    pub fn enumerate(&self, system: &SystemConfig, limit: u128) -> Result<Vec<Allocation>> {
+        Ok(match self.candidates(system, limit)? {
+            Candidates::Grid(grid) => {
+                let mut out = Vec::new();
+                grid.for_each(|_, _, amounts| out.push(Allocation::new(amounts.to_vec())));
+                out
+            }
+            Candidates::Explicit(allocs) => allocs.to_vec(),
+        })
+    }
+
+    /// Number of candidate allocations without materialising them
+    /// (`u128::MAX` if it overflows).
+    pub fn size(&self, system: &SystemConfig) -> u128 {
+        match self {
+            AllocationSpace::FullGrid => system.full_grid_size(),
+            AllocationSpace::PowersOfTwo => grid_size(
+                (0..system.num_resource_types()).map(|i| self.axis(system, i).len() as u128),
+            ),
+            AllocationSpace::PerAxis(values) => {
+                grid_size((0..values.len()).map(|i| self.axis(system, i).len() as u128))
+            }
+            AllocationSpace::Explicit(a) => a.len() as u128,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -215,6 +268,40 @@ mod tests {
             .unwrap();
         let values: Vec<u64> = allocs.iter().map(|a| a[0]).collect();
         assert_eq!(values, vec![1, 2, 4, 8]);
+    }
+
+    #[test]
+    fn powers_of_two_end_at_the_largest_capacity() {
+        let s = SystemConfig::new(vec![u64::MAX]).unwrap();
+        let space = AllocationSpace::PowersOfTwo;
+        assert_eq!(space.size(&s), 65);
+        let values: Vec<u64> = space
+            .enumerate(&s, DEFAULT_ENUMERATION_LIMIT)
+            .unwrap()
+            .iter()
+            .map(|a| a[0])
+            .collect();
+        let powers: Vec<u64> = (0..64).map(|k| 1u64 << k).collect();
+        assert_eq!(values[..64], powers[..]);
+        assert_eq!(values[64], u64::MAX);
+    }
+
+    #[test]
+    fn an_overflowing_full_grid_is_too_large() {
+        // 2^43 · 2^43 · 2^42 = 2^128 wraps a `u128` product to 0.
+        let s = SystemConfig::new(vec![1 << 43, 1 << 43, 1 << 42]).unwrap();
+        assert_eq!(s.full_grid_size(), u128::MAX);
+        assert_eq!(AllocationSpace::FullGrid.size(&s), u128::MAX);
+        assert!(matches!(
+            AllocationSpace::FullGrid.enumerate(&s, DEFAULT_ENUMERATION_LIMIT),
+            Err(ModelError::AllocationSpaceTooLarge {
+                size: u128::MAX,
+                ..
+            })
+        ));
+        let per_axis = AllocationSpace::PerAxis(vec![(1..=200).collect(); 17]);
+        let s = SystemConfig::uniform(17, 200).unwrap();
+        assert_eq!(per_axis.size(&s), u128::MAX);
     }
 
     #[test]

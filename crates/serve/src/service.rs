@@ -1671,6 +1671,25 @@ mod tests {
     }
 
     #[test]
+    fn a_round_plans_at_the_largest_capacity() {
+        // The powers-of-two axis of a `u64::MAX` capacity has 65 values; the
+        // doubling that built it once never ended there.
+        let mut core = ServiceCore::new(config());
+        core.submit_capacity(0, u64::MAX).unwrap();
+        let spec = ExecTimeSpec::Amdahl {
+            seq: 1.0,
+            work: vec![8.0, 8.0],
+        };
+        let job = MoldableJob::with_space("p2", spec, mrls_model::AllocationSpace::PowersOfTwo);
+        core.submit_job("a", job, &[]).unwrap();
+        core.flush().unwrap();
+        assert_eq!(core.status().rounds, 1);
+        let report = core.drain().unwrap();
+        assert_eq!(report.completed, 1);
+        assert!(report.feasible);
+    }
+
+    #[test]
     fn invalid_submissions_are_rejected() {
         let mut core = ServiceCore::new(config());
         // Unknown dependency.

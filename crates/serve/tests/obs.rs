@@ -129,10 +129,13 @@ fn query_metrics_reflects_the_run_and_is_deterministic() {
         assert!(count > 0, "counter {name} is {count}");
     }
     // Every plan counts the allocator kind it resolved: the LP for the
-    // general DAG, the exact allocator for pending sets without edges.
+    // general DAG, the exact allocator for pending sets without edges. It
+    // also counts the profiles it built and the points they kept.
     for name in [
         "plan.allocator.lp_rounding",
         "plan.allocator.independent_optimal",
+        "plan.profiles.jobs",
+        "plan.profiles.points",
     ] {
         let count = snap.counters.get(name).copied().unwrap_or(0);
         assert!(count > 0, "counter {name} is {count}");
