@@ -105,10 +105,7 @@ fn run_generations(instance: &Instance, seed: u64, prob: f64, retry: RetryPolicy
         );
         // Abandonment is closed under descendants (cascades), so the
         // induced subgraph keeps every unsatisfied precedence edge.
-        let (sub_dag, kept) = current.dag.induced_subgraph_sorted(&abandoned);
-        let jobs = kept.iter().map(|&j| current.jobs[j].clone()).collect();
-        current = Instance::new(current.system.clone(), sub_dag, jobs)
-            .expect("induced sub-instance must be valid");
+        current = current.induced(&abandoned, current.system.clone());
     }
     Outcome {
         total_time,

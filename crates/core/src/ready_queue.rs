@@ -293,6 +293,11 @@ impl ReadyQueue {
         q
     }
 
+    /// The universe the queue was built over, ascending.
+    pub fn universe(&self) -> &[usize] {
+        &self.index.by_id
+    }
+
     /// Number of ready jobs.
     pub fn len(&self) -> usize {
         self.jobs.len() - self.head

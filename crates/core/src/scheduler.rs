@@ -19,11 +19,11 @@ use crate::allocators::{
 use crate::bounds::{combinatorial_lower_bound, LowerBounds};
 use crate::list_scheduler::ListScheduler;
 use crate::priority::PriorityRule;
-use crate::schedule::Schedule;
+use crate::schedule::{Schedule, ScheduledJob};
 use crate::theory;
 use crate::Result;
 use mrls_dag::GraphClass;
-use mrls_model::{AllocationDecision, Instance, JobProfile};
+use mrls_model::{AllocationDecision, Instance, JobProfile, SystemConfig};
 use serde::{Deserialize, Serialize};
 
 /// Which Phase-1 allocator to use.
@@ -161,6 +161,25 @@ impl MrlsScheduler {
             mrls_obs::counter_add("plan.profiles.points", points);
         }
         self.schedule_with_profiles(instance, &profiles)
+    }
+
+    /// Plans the jobs `pending` (strictly ascending ids of `instance`) from
+    /// scratch on `system`, running both phases on the induced sub-instance
+    /// ([`Instance::induced`]). Entry `i` places job `pending[i]` under its
+    /// id in `instance`, with times measured from 0.
+    pub fn schedule_pending(
+        &self,
+        instance: &Instance,
+        pending: &[usize],
+        system: SystemConfig,
+    ) -> Result<Vec<ScheduledJob>> {
+        let sub = instance.induced(pending, system);
+        let mut jobs = self.schedule(&sub)?.schedule.jobs;
+        // Entry `i` describes sub-instance job `i`, which is `pending[i]`.
+        for (sj, &job) in jobs.iter_mut().zip(pending) {
+            sj.job = job;
+        }
+        Ok(jobs)
     }
 
     /// Runs both phases using pre-computed profiles (useful when the caller
@@ -448,6 +467,80 @@ mod tests {
         let result = MrlsScheduler::with_defaults().schedule(&inst).unwrap();
         assert_eq!(result.schedule.makespan, 0.0);
         assert_eq!(result.measured_ratio(), 1.0);
+    }
+
+    /// Eight distinct jobs: an N (general) on 0–3, a chain on 4–6, and 7
+    /// hanging off 3.
+    fn mixed_instance() -> Instance {
+        let edges = [(0, 2), (1, 2), (1, 3), (4, 5), (5, 6), (3, 7)];
+        let dag = Dag::from_edges(8, &edges).unwrap();
+        let jobs = (0..8)
+            .map(|j| {
+                let work = 4.0 + j as f64;
+                MoldableJob::new(
+                    j,
+                    ExecTimeSpec::Amdahl {
+                        seq: 0.5,
+                        work: vec![work, 12.0 - work],
+                    },
+                )
+            })
+            .collect();
+        Instance::new(SystemConfig::new(vec![8, 8]).unwrap(), dag, jobs).unwrap()
+    }
+
+    #[test]
+    fn schedule_pending_equals_schedule_on_the_induced_sub_instance() {
+        let inst = mixed_instance();
+        let system = SystemConfig::new(vec![6, 5]).unwrap();
+        let scheduler = MrlsScheduler::with_defaults();
+        // Each subset with its sub-DAG written out by hand.
+        let cases: [(&[usize], Dag, &str); 3] = [
+            (
+                &[0, 1, 2, 3],
+                Dag::from_edges(4, &[(0, 2), (1, 2), (1, 3)]).unwrap(),
+                "lp-rounding",
+            ),
+            (&[4, 5, 6], Dag::chain(3), "sp-fptas"),
+            (&[0, 3, 6], Dag::independent(3), "independent-optimal"),
+        ];
+        for (pending, dag, allocator) in cases {
+            let jobs = pending.iter().map(|&j| inst.jobs[j].clone()).collect();
+            let sub = Instance::new(system.clone(), dag, jobs).unwrap();
+            let expected = scheduler.schedule(&sub).unwrap();
+            assert_eq!(expected.params.allocator, allocator);
+            let got = scheduler
+                .schedule_pending(&inst, pending, system.clone())
+                .unwrap();
+            assert_eq!(got.len(), pending.len());
+            for ((sj, want), &job) in got.iter().zip(&expected.schedule.jobs).zip(pending) {
+                assert_eq!(sj.job, job);
+                assert_eq!(sj.alloc, want.alloc);
+                assert_eq!(sj.start.to_bits(), want.start.to_bits());
+                assert_eq!(sj.finish.to_bits(), want.finish.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn schedule_pending_returns_scheduler_errors() {
+        // The FPTAS refuses the general N on jobs 0–3.
+        let inst = mixed_instance();
+        let scheduler = MrlsScheduler::new(MrlsConfig {
+            allocator: AllocatorKind::SpFptas,
+            ..MrlsConfig::default()
+        });
+        let err = scheduler
+            .schedule_pending(&inst, &[0, 1, 2, 3], inst.system.clone())
+            .unwrap_err();
+        let dag = Dag::from_edges(4, &[(0, 2), (1, 2), (1, 3)]).unwrap();
+        let sub = Instance::new(inst.system.clone(), dag, inst.jobs[..4].to_vec()).unwrap();
+        let direct = scheduler.schedule(&sub).unwrap_err();
+        assert_eq!(err.to_string(), direct.to_string());
+        // The SP subset still plans under the same configuration.
+        assert!(scheduler
+            .schedule_pending(&inst, &[4, 5, 6], inst.system.clone())
+            .is_ok());
     }
 
     #[test]

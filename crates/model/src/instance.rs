@@ -32,6 +32,15 @@ impl Instance {
         Ok(Instance { system, dag, jobs })
     }
 
+    /// The sub-instance over the jobs `ids` (strictly ascending) on
+    /// `system`: job `i` of the result is job `ids[i]`, and every edge
+    /// between two of them is kept. Costs O(sub-instance), not O(world).
+    pub fn induced(&self, ids: &[usize], system: SystemConfig) -> Instance {
+        let (dag, _) = self.dag.induced_subgraph_sorted(ids);
+        let jobs = ids.iter().map(|&j| self.jobs[j].clone()).collect();
+        Instance { system, dag, jobs }
+    }
+
     /// Number of jobs `n`.
     pub fn num_jobs(&self) -> usize {
         self.jobs.len()
@@ -113,6 +122,23 @@ mod tests {
         let system = SystemConfig::new(vec![4, 4]).unwrap();
         let inst = Instance::new(system, Dag::independent(3), jobs(3)).unwrap();
         assert_eq!(inst.graph_class(), mrls_dag::GraphClass::Independent);
+    }
+
+    #[test]
+    fn induced_keeps_order_inner_edges_and_the_given_system() {
+        let system = SystemConfig::new(vec![4, 4]).unwrap();
+        let dag = Dag::from_edges(5, &[(0, 2), (1, 2), (2, 4), (3, 4), (0, 3)]).unwrap();
+        let inst = Instance::new(system, dag, jobs(5)).unwrap();
+        let small = SystemConfig::new(vec![2, 3]).unwrap();
+        let sub = inst.induced(&[0, 2, 4], small.clone());
+        assert_eq!(sub.system, small);
+        let names: Vec<&str> = sub.jobs.iter().map(|j| j.name.as_str()).collect();
+        assert_eq!(names, ["job0", "job2", "job4"]);
+        // (0, 2) and (2, 4) are kept; (1, 2), (3, 4) and (0, 3) lose an end.
+        assert_eq!(sub.dag.edges().collect::<Vec<_>>(), [(0, 1), (1, 2)]);
+        let empty = inst.induced(&[], inst.system.clone());
+        assert_eq!((empty.num_jobs(), empty.dag.num_nodes()), (0, 0));
+        assert_eq!(empty.system, inst.system);
     }
 
     #[test]

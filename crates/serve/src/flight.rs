@@ -42,6 +42,11 @@ pub struct RoundRecord {
     pub plan_updates: u64,
     /// Plan entries kept bit-identical by the diff.
     pub plan_kept: u64,
+    /// Plans that failed this round and fell back: the round's increments
+    /// of `serve.plan.fallbacks` and `sim.policy.reschedule_fallbacks`.
+    /// Absent from records written before the field existed (reads 0).
+    #[serde(default)]
+    pub plan_fallbacks: u64,
     /// Jobs that started during this round's drive.
     pub started: u64,
     /// Jobs that completed during this round's drive.
@@ -75,6 +80,7 @@ impl RoundRecord {
             plan_planned: 0,
             plan_updates: 0,
             plan_kept: 0,
+            plan_fallbacks: 0,
             started: 0,
             completed: 0,
             failed: 0,
@@ -109,7 +115,8 @@ impl RoundRecord {
 
 /// The deterministic subset of a [`RoundRecord`] that both service cores can
 /// produce independently. Plan-diff counters are deliberately absent: the
-/// naive reference rebuilds the full plan every round and has no diff.
+/// naive reference rebuilds the full plan every round and has no diff. So
+/// is `plan_fallbacks`, which the reference does not record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoundDigest {
     /// Round index.
@@ -240,10 +247,17 @@ mod tests {
 
     #[test]
     fn records_roundtrip_through_json() {
-        let r = record(2);
+        let mut r = record(2);
+        r.plan_fallbacks = 3;
         let json = serde_json::to_string(&r).unwrap();
         let back: RoundRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(r, back);
+        // A record written before `plan_fallbacks` existed still loads.
+        let old = json.replace(",\"plan_fallbacks\":3", "");
+        assert!(!old.contains("plan_fallbacks"), "{old}");
+        let back: RoundRecord = serde_json::from_str(&old).unwrap();
+        assert_eq!(back.plan_fallbacks, 0);
+        assert_eq!(back.digest(), r.digest());
         let d: RoundDigest =
             serde_json::from_str(&serde_json::to_string(&r.digest()).unwrap()).unwrap();
         assert_eq!(d, r.digest());

@@ -56,6 +56,10 @@ pub struct NaiveService {
     failure_sampler: Option<FailureSampler>,
     // The naive mirror of the incremental core's poison quarantine.
     quarantine: Vec<QuarantineEntry>,
+    // The previous round's job-indexed plan: an abandoned job is never
+    // re-planned and keeps its entry from here, as the incremental core's
+    // in-flight plan does.
+    plan: Vec<ScheduledJob>,
     // The naive mirror of the incremental core's idempotency dedup window.
     dedup: DedupWindow,
     ingest: IngestQueue,
@@ -87,6 +91,7 @@ impl NaiveService {
             perturber: None,
             failure_sampler: None,
             quarantine: Vec::new(),
+            plan: Vec::new(),
             dedup,
             ingest,
             metrics: MetricsRegistry::new(),
@@ -519,9 +524,10 @@ impl NaiveService {
     }
 
     /// Builds the job-indexed plan for the current world: realized entries
-    /// for jobs that already started, fresh two-phase plans (against the
-    /// machine's *current* capacities) for everything pending. Planned
-    /// finish times of newly submitted jobs are recorded per tenant.
+    /// for jobs that already started, the previous round's entries for
+    /// abandoned jobs, fresh two-phase plans (against the machine's
+    /// *current* capacities) for everything pending. Planned finish times
+    /// of newly submitted jobs are recorded per tenant.
     fn build_plan(
         &mut self,
         instance: &Instance,
@@ -534,6 +540,11 @@ impl NaiveService {
                 .as_ref()
                 .is_some_and(|s| j < s.started.len() && s.started[j])
         };
+        let abandoned = |j: usize| {
+            self.snapshot
+                .as_ref()
+                .is_some_and(|s| s.abandoned.get(j) == Some(&true))
+        };
         let mut entries: Vec<Option<ScheduledJob>> = vec![None; n];
         let mut pending: Vec<usize> = Vec::new();
         for (j, entry) in entries.iter_mut().enumerate() {
@@ -545,6 +556,8 @@ impl NaiveService {
                     finish: s.finish[j],
                     alloc: s.alloc_used[j].clone(),
                 });
+            } else if abandoned(j) {
+                *entry = Some(self.plan[j].clone());
             } else {
                 pending.push(j);
             }
@@ -568,6 +581,7 @@ impl NaiveService {
             let tenant = self.world[j].tenant.clone();
             self.metrics.record_planned(&tenant, entries[j].finish);
         }
+        self.plan = entries.clone();
         Ok(Schedule::new(entries))
     }
 

@@ -172,28 +172,14 @@ pub(crate) fn plan_pending(
     if pending.is_empty() {
         return Ok(Vec::new());
     }
-    let (sub_dag, mapping) = instance.dag.induced_subgraph_sorted(pending);
-    let sub_jobs: Vec<MoldableJob> = mapping
-        .iter()
-        .map(|&old| instance.jobs[old].clone())
-        .collect();
     let system = SystemConfig::new(capacities_now.to_vec()).map_err(|e| e.to_string())?;
-    let sub_instance = Instance::new(system, sub_dag, sub_jobs).map_err(|e| e.to_string())?;
-    match MrlsScheduler::new(config.clone()).schedule(&sub_instance) {
-        Ok(result) => {
-            let mut entries: Vec<Option<ScheduledJob>> = vec![None; pending.len()];
-            for sj in &result.schedule.jobs {
-                entries[sj.job] = Some(ScheduledJob {
-                    job: mapping[sj.job],
-                    start: t + sj.start,
-                    finish: t + sj.finish,
-                    alloc: sj.alloc.clone(),
-                });
+    match MrlsScheduler::new(config.clone()).schedule_pending(instance, pending, system) {
+        Ok(mut entries) => {
+            for entry in &mut entries {
+                entry.start += t;
+                entry.finish += t;
             }
-            Ok(entries
-                .into_iter()
-                .map(|e| e.expect("the scheduler covers every pending job"))
-                .collect())
+            Ok(entries)
         }
         Err(e) => {
             mrls_obs::counter_add("serve.plan.fallbacks", 1);
@@ -371,7 +357,7 @@ pub struct ServiceCore {
     run: Option<SimRun>,
     /// The **persistent policy instance** driven inside every round: built
     /// once, refreshed between rounds with the incremental
-    /// [`Policy::on_plan_update`] hook over the pending frontier — O(live)
+    /// [`Policy::on_plan_update`] hook over the live frontier — O(live)
     /// per round where building and `on_start`-ing a fresh instance was
     /// O(world).
     policy: Box<dyn Policy>,
@@ -379,7 +365,8 @@ pub struct ServiceCore {
     feed: Option<(ChannelFeeder, ChannelSource)>,
     /// Archive of events harvested out of the engine.
     ledger: EventLedger,
-    /// Unstarted job ids, sorted ascending (the re-planning frontier).
+    /// Unstarted, unabandoned job ids, sorted ascending (the re-planning
+    /// frontier).
     pending: Vec<usize>,
     /// Jobs started in earlier rounds whose realized placements are not yet
     /// frozen into the plan (synced at the start of the next round, so the
@@ -1326,7 +1313,12 @@ impl ServiceCore {
         // The round's wall-clock budget, as a gauge next to the measured
         // `wall`-namespace latencies (deterministic: derived from config).
         mrls_obs::gauge_set("serve.tick_us", (self.config.tick * 1e6).round() as u64);
-        self.obs.absorb(mrls_obs::take());
+        let delta = mrls_obs::take();
+        record.plan_fallbacks = ["serve.plan.fallbacks", "sim.policy.reschedule_fallbacks"]
+            .iter()
+            .filter_map(|name| delta.counters.get(*name))
+            .sum();
+        self.obs.absorb(delta);
         match result {
             Ok(trace) => {
                 record.wall_us = wall_us;
@@ -1481,12 +1473,16 @@ impl ServiceCore {
             // Re-derive the frontiers from the engine's flags rather than
             // replaying the event deltas: with failure injection one job can
             // start, fail and restart within a single drive, so only the
-            // final flags say whether it is pending, running or gone.
+            // final flags say whether it is pending, running or gone. Every
+            // job still pending was in the round's `live` (completion and
+            // abandonment are final), so filtering it costs O(live).
             let state = run.state();
-            self.pending = (0..self.grown)
-                .filter(|&j| !state.started[j] && !state.abandoned[j])
-                .chain(self.grown..self.world.len())
-                .collect();
+            let is_pending = |&j: &usize| !state.started[j] && !state.abandoned[j];
+            self.pending = live.iter().copied().filter(is_pending).collect();
+            debug_assert_eq!(
+                self.pending,
+                (0..self.world.len()).filter(is_pending).collect::<Vec<_>>()
+            );
             started.sort_unstable();
             started.dedup();
             started.retain(|&j| state.started[j]);

@@ -462,6 +462,120 @@ fn failure_stream_quarantines_identically() {
     );
 }
 
+/// Runs one failure-injection stream (the proptest's configuration) through
+/// both cores and drains, returning the pair for further checks.
+fn run_failure_stream(policy: PolicyKind, ops: &[Op]) -> Pair {
+    let mut pair = Pair::with_config(ServeConfig {
+        capacities: vec![4, 4],
+        policy,
+        failures: failure_plan(),
+        max_pending_jobs: 24,
+        seed: 11,
+        ..ServeConfig::default()
+    });
+    for (i, op) in ops.iter().enumerate() {
+        pair.step(i, op);
+    }
+    pair.finish();
+    pair
+}
+
+/// Case 18 of the failure-injection differential from seed `0x5eed_fa12`:
+/// jobs quarantined mid-stream must not be re-planned by either core. The
+/// reference used to plan them with the pending jobs, which moved the other
+/// jobs' plans and so the drain's `planned_makespan` (7.58 against 6.58).
+#[test]
+fn abandoned_jobs_are_not_replanned_under_full_reschedule() {
+    let job = |tenant, time_centi, amdahl, deps: &[u8]| Op::Job {
+        tenant,
+        time_centi,
+        amdahl,
+        deps: deps.to_vec(),
+    };
+    let cap = |resource, capacity| Op::Capacity { resource, capacity };
+    let dag = |tenant, times_centi: &[u16]| Op::Dag {
+        tenant,
+        times_centi: times_centi.to_vec(),
+        chain: true,
+    };
+    let ops = [
+        Op::Flush,
+        cap(0, 1),
+        Op::Flush,
+        Op::Flush,
+        Op::Query,
+        job(1, 173, true, &[3]),
+        cap(2, 4),
+        job(1, 150, true, &[5]),
+        dag(1, &[157, 151]),
+        dag(0, &[103, 75]),
+        Op::Flush,
+        cap(2, 1),
+        Op::Query,
+        job(1, 59, false, &[]),
+        Op::Flush,
+        Op::Flush,
+        cap(0, 2),
+        Op::Flush,
+        Op::Flush,
+    ];
+    let pair = run_failure_stream(PolicyKind::FullReschedule, &ops);
+    assert!(!pair.incremental.quarantine().is_empty());
+}
+
+/// Case 114 of the failure-injection differential from seed `0x5eed_fa12`,
+/// under ReactiveList: a quarantined job re-planned by the reference shifted
+/// a later submission's planned finish (alpha's `planned_finish` read 10.6325
+/// against 6.34 in the `QueryStatus` after op 25).
+#[test]
+fn abandoned_jobs_are_not_replanned_under_reactive_list() {
+    let job = |tenant, time_centi, amdahl, deps: &[u8]| Op::Job {
+        tenant,
+        time_centi,
+        amdahl,
+        deps: deps.to_vec(),
+    };
+    let cap = |resource, capacity| Op::Capacity { resource, capacity };
+    let set = |tenant, times_centi: &[u16]| Op::Dag {
+        tenant,
+        times_centi: times_centi.to_vec(),
+        chain: false,
+    };
+    let ops = [
+        job(1, 253, false, &[]),
+        Op::Recycle,
+        job(0, 214, false, &[2, 4]),
+        Op::Flush,
+        Op::Flush,
+        Op::Query,
+        job(1, 37, false, &[2]),
+        Op::Flush,
+        cap(1, 2),
+        cap(0, 3),
+        Op::Recycle,
+        Op::Recycle,
+        Op::Flush,
+        Op::Flush,
+        Op::Recycle,
+        Op::Query,
+        set(0, &[195, 89]),
+        Op::Flush,
+        Op::Flush,
+        set(0, &[196]),
+        set(2, &[144]),
+        set(1, &[97, 88]),
+        set(1, &[7, 38, 49]),
+        Op::Recycle,
+        job(1, 92, true, &[5, 5]),
+        Op::Flush,
+        Op::Recycle,
+        Op::Flush,
+        job(1, 108, false, &[5, 1]),
+    ];
+    let pair = run_failure_stream(PolicyKind::ReactiveList, &ops);
+    assert!(!pair.incremental.quarantine().is_empty());
+}
+
 /// Duplicate idempotency tokens are deduplicated identically: the replay
 /// returns the original ids without a second admission, on both cores.
 #[test]

@@ -7,7 +7,7 @@
 use mrls_core::{AllocatorKind, MrlsConfig, MrlsScheduler};
 use mrls_dag::GraphClass;
 use mrls_model::Instance;
-use mrls_serve::{DrainReport, ServeConfig, ServiceCore};
+use mrls_serve::{DrainReport, RoundRecord, ServeConfig, ServiceCore};
 use mrls_sim::PolicyKind;
 use mrls_workload::InstanceRecipe;
 use std::time::Duration;
@@ -35,7 +35,11 @@ fn scheduler(allocator: AllocatorKind) -> MrlsConfig {
 /// Submits each DAG in a round of its own on a fresh `FullReschedule`
 /// core planning with `allocator`, then drains. The second DAG arrives while
 /// jobs of the first are pending, so the policy re-plans on arrival.
-fn run(allocator: AllocatorKind, dags: &[Instance]) -> (DrainReport, mrls_obs::Snapshot) {
+/// Returns the drain report, the obs snapshot and the flight records.
+fn run(
+    allocator: AllocatorKind,
+    dags: &[Instance],
+) -> (DrainReport, mrls_obs::Snapshot, Vec<RoundRecord>) {
     let mut core = ServiceCore::new(ServeConfig {
         capacities: vec![8, 8],
         policy: PolicyKind::FullReschedule,
@@ -52,13 +56,14 @@ fn run(allocator: AllocatorKind, dags: &[Instance]) -> (DrainReport, mrls_obs::S
     let report = core.drain().unwrap();
     assert_eq!(report.completed, report.submitted);
     assert!(report.feasible, "the realized schedule must validate");
-    (report, core.obs_snapshot())
+    (report, core.obs_snapshot(), core.flight_records())
 }
 
 #[test]
 fn every_plan_uses_the_configured_allocator() {
     let dags = [general_dag(3), general_dag(40)];
-    let (report, _) = run(AllocatorKind::MinArea, &dags);
+    let (report, _, records) = run(AllocatorKind::MinArea, &dags);
+    assert!(records.iter().all(|r| r.plan_fallbacks == 0), "{records:?}");
     // MinArea decides each job on its own profile, so a job's decision is
     // the same whichever pending jobs it is planned with.
     let mut offset = 0;
@@ -84,8 +89,15 @@ fn failed_plans_fall_back_and_are_counted() {
     // The SP FPTAS refuses a general DAG (`NotSeriesParallel`), so both the
     // first round's plan and the re-plan on the second DAG's arrival fail.
     let dags = [general_dag(3), general_dag(40)];
-    let (_, snap) = run(AllocatorKind::SpFptas, &dags);
+    let (_, snap, records) = run(AllocatorKind::SpFptas, &dags);
     let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    // The flight recorder says which rounds degraded, and they add up.
+    let recorded: u64 = records.iter().map(|r| r.plan_fallbacks).sum();
+    assert_eq!(
+        recorded,
+        counter("serve.plan.fallbacks") + counter("sim.policy.reschedule_fallbacks")
+    );
+    assert!(records[0].plan_fallbacks >= 1, "{records:?}");
     for total in ["serve.plan.fallbacks", "sim.policy.reschedule_fallbacks"] {
         assert!(counter(total) >= 1, "{:?}", snap.counters);
         // Each fallback is also counted under its cause, and here the cause

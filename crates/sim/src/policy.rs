@@ -28,7 +28,7 @@
 use crate::engine::{SimError, SimState};
 use crate::trace::TraceEvent;
 use mrls_core::{ListScheduler, MrlsConfig, MrlsScheduler, PriorityRule, ReadyQueue};
-use mrls_model::{Allocation, Instance, MoldableJob, SystemConfig};
+use mrls_model::{Allocation, SystemConfig};
 use serde::{Deserialize, Serialize};
 
 /// The uncompleted, unabandoned jobs of a state, ascending — the **live
@@ -58,9 +58,12 @@ pub trait Policy: std::fmt::Debug {
 
     /// Incremental re-initialisation of a policy instance kept across the
     /// drive calls of a persistent run: called *between* drives, after the
-    /// in-flight plan was updated, with `live` the unstarted jobs of the
-    /// world in ascending order (exactly what [`Policy::on_start`] would
-    /// discover by scanning, handed over so the refresh costs O(live)).
+    /// in-flight plan was updated, with `live` the **live frontier** in
+    /// ascending order — every uncompleted, unabandoned job, pending and
+    /// running alike. That is exactly what [`Policy::on_start`] would
+    /// discover by scanning, handed over so the refresh costs O(live).
+    /// Policies may rely on it covering every job that can still start:
+    /// [`FullReschedulePolicy`] finds its re-plan's pending jobs there.
     ///
     /// The contract matches a fresh `on_start`: afterwards the policy must
     /// make bit-identical decisions to a newly built instance observing the
@@ -149,7 +152,6 @@ impl PolicyKind {
 pub struct StaticPolicy {
     order: Vec<usize>,
     cursor: usize,
-    decision: Vec<Allocation>,
     /// Placement watermark: `true` once a pass ran with no world change
     /// since — a repeat pass cannot start anything (availability only
     /// shrank) and is skipped.
@@ -162,10 +164,10 @@ impl StaticPolicy {
         StaticPolicy::default()
     }
 
-    /// (Re-)derives the replay order and allocations over the given live
-    /// frontier — O(live log live).
+    /// (Re-)derives the replay order over the given live frontier —
+    /// O(live log live). Allocations are read from the plan, which stays
+    /// fixed during a drive.
     fn init_over(&mut self, state: &SimState<'_>, mut order: Vec<usize>) {
-        let n = state.instance.num_jobs();
         order.sort_by(|&a, &b| {
             state.plan.jobs[a]
                 .start
@@ -173,13 +175,6 @@ impl StaticPolicy {
                 .then(a.cmp(&b))
         });
         self.cursor = 0;
-        // Entries of started jobs are never read again; only the frontier
-        // is refreshed (the buffer grows with the world and keeps stale
-        // values elsewhere).
-        self.decision.resize(n, Allocation::new(Vec::new()));
-        for &j in &order {
-            self.decision[j] = state.plan.jobs[j].alloc.clone();
-        }
         self.order = order;
         self.settled = false;
     }
@@ -224,9 +219,10 @@ impl Policy for StaticPolicy {
                 self.cursor += 1;
                 continue;
             }
-            if state.is_ready(j) && resources.fits(&self.decision[j]) {
-                resources.acquire(&self.decision[j]);
-                starts.push((j, self.decision[j].clone()));
+            let alloc = &state.plan.jobs[j].alloc;
+            if state.is_ready(j) && resources.fits(alloc) {
+                resources.acquire(alloc);
+                starts.push((j, alloc.clone()));
                 self.cursor += 1;
             } else {
                 // Strict plan order: the head of the queue blocks everything
@@ -239,30 +235,43 @@ impl Policy for StaticPolicy {
     }
 }
 
-/// The persistent ready queue both list policies maintain: a mirror of the
-/// engine's ready set, kept in `(priority key, job)` order so a decision
-/// point drains it directly instead of sorting a fresh clone of the ready
-/// set — O(log r) maintenance per event instead of O(r log r) per pass.
-#[derive(Debug, Clone, Default)]
-struct MirroredQueue {
+/// The core both list policies run on: per-job allocations and priority
+/// keys, a persistent ready queue mirroring the engine's ready set in
+/// `(key, job)` order, and the placement watermark. A decision point drains
+/// the queue directly instead of sorting a fresh clone of the ready set —
+/// O(log r) maintenance per event instead of O(r log r) per pass. Entries
+/// of `decision` and `keys` outside the live frontier are stale and never
+/// read.
+#[derive(Debug, Clone)]
+struct ListCore {
+    scheduler: ListScheduler,
+    decision: Vec<Allocation>,
+    keys: Vec<f64>,
     queue: ReadyQueue,
+    settled: bool,
 }
 
-impl MirroredQueue {
-    /// Rebuilds the mirror from the engine's ready set (drive start / plan
-    /// update — O(live log live)). `live` is the universe the requirement
-    /// index is addressed by: every job that may still be inserted (the
-    /// uncompleted frontier) — anything becoming ready later is uncompleted
-    /// now (including a running job whose attempt fails and retries), so it
-    /// is covered.
-    fn rebuild(
-        &mut self,
-        state: &SimState<'_>,
-        live: &[usize],
-        keys: &[f64],
-        decision: &[Allocation],
-    ) {
-        self.queue = ReadyQueue::with_universe(live, state.ready.clone(), keys, decision);
+impl ListCore {
+    fn new(priority: PriorityRule) -> Self {
+        ListCore {
+            scheduler: ListScheduler::new(priority),
+            decision: Vec::new(),
+            keys: Vec::new(),
+            queue: ReadyQueue::new(),
+            settled: false,
+        }
+    }
+
+    /// Rebuilds the mirror from the engine's ready set once `decision` and
+    /// `keys` hold the live frontier's entries (drive start / plan update —
+    /// O(live log live)). `live` is the universe the requirement index is
+    /// addressed by: every job that may still be inserted. Anything
+    /// becoming ready later is uncompleted now (including a running job
+    /// whose attempt fails and retries), so it is covered.
+    fn rebuild(&mut self, state: &SimState<'_>, live: &[usize]) {
+        self.queue =
+            ReadyQueue::with_universe(live, state.ready.clone(), &self.keys, &self.decision);
+        self.settled = false;
     }
 
     /// Folds one event batch into the mirror: any job the batch could have
@@ -270,30 +279,25 @@ impl MirroredQueue {
     /// binary-inserted iff the engine's post-batch state lists it as ready.
     /// Inserting a queued job is a no-op, so overlapping candidates (a job
     /// released and unblocked in the same batch) stay unique.
-    fn absorb(
-        &mut self,
-        state: &SimState<'_>,
-        batch: &[TraceEvent],
-        keys: &[f64],
-        decision: &[Allocation],
-    ) {
+    fn absorb(&mut self, state: &SimState<'_>, batch: &[TraceEvent]) {
+        self.settled = false;
         for e in batch {
             match e {
                 TraceEvent::JobCompleted { job, .. } => {
                     for &succ in state.instance.dag.successors(*job) {
                         if state.is_ready(succ) {
-                            self.queue.insert(succ, keys, &decision[succ]);
+                            self.queue.insert(succ, &self.keys, &self.decision[succ]);
                         }
                     }
                 }
                 TraceEvent::JobReleased { job, .. } if state.is_ready(*job) => {
-                    self.queue.insert(*job, keys, &decision[*job]);
+                    self.queue.insert(*job, &self.keys, &self.decision[*job]);
                 }
                 // A retried job re-enters the ready set exactly once per
                 // backoff expiry; the engine removed it at failure time, so
                 // re-insertion here keeps the mirror bit-identical.
                 TraceEvent::JobRetried { job, .. } if state.is_ready(*job) => {
-                    self.queue.insert(*job, keys, &decision[*job]);
+                    self.queue.insert(*job, &self.keys, &self.decision[*job]);
                 }
                 _ => {}
             }
@@ -308,33 +312,40 @@ impl MirroredQueue {
             "mirrored ready queue diverged from the engine's ready set"
         );
     }
+
+    /// One placement pass of Algorithm 2 over the mirrored queue, skipped
+    /// while the watermark says no world change happened since the last.
+    fn select_starts(&mut self, state: &SimState<'_>) -> Vec<(usize, Allocation)> {
+        if self.settled {
+            return Vec::new();
+        }
+        let mut resources = state.resources.clone();
+        let started = self.scheduler.schedule_ready(
+            &mut self.queue,
+            &self.keys,
+            &self.decision,
+            &mut resources,
+        );
+        self.settled = true;
+        started
+            .into_iter()
+            .map(|j| (j, self.decision[j].clone()))
+            .collect()
+    }
 }
 
 /// Re-runs the list phase (the shared placement routine of Algorithm 2) over
 /// the actual ready set at every event, reusing the Phase-1 allocations.
 #[derive(Debug, Clone)]
 pub struct ReactiveListPolicy {
-    scheduler: ListScheduler,
-    decision: Vec<Allocation>,
-    keys: Vec<f64>,
-    mirror: MirroredQueue,
-    settled: bool,
-    /// The frontier the keys were last derived over — `on_plan_update` skips
-    /// the recompute when the frontier and its plan allocations are
-    /// unchanged (no placement changed ⇒ same sub-instance ⇒ same keys).
-    last_live: Option<Vec<usize>>,
+    core: ListCore,
 }
 
 impl ReactiveListPolicy {
     /// Creates the policy with the given ready-queue priority rule.
     pub fn new(priority: PriorityRule) -> Self {
         ReactiveListPolicy {
-            scheduler: ListScheduler::new(priority),
-            decision: Vec::new(),
-            keys: Vec::new(),
-            mirror: MirroredQueue::default(),
-            settled: false,
-            last_live: None,
+            core: ListCore::new(priority),
         }
     }
 
@@ -342,46 +353,40 @@ impl ReactiveListPolicy {
     /// frontier and rebuilds the ready-queue mirror.
     fn init_over(&mut self, state: &SimState<'_>, live: &[usize]) -> Result<(), SimError> {
         let n = state.instance.num_jobs();
+        let core = &mut self.core;
         // `Explicit` keys are raw per-job vectors; everything else is
         // pointwise in (time, allocation, bottom level), and the frontier is
         // successor-closed, so bottom levels computed on the live
         // sub-instance are bit-identical to the full-graph ones. Keys and
         // decisions of started jobs are never read (only ready jobs are).
-        if live.len() == n || matches!(self.scheduler.priority(), PriorityRule::Explicit(_)) {
-            self.decision = state.plan.allocations();
-            let times = self
+        if live.len() == n || matches!(core.scheduler.priority(), PriorityRule::Explicit(_)) {
+            core.decision = state.plan.allocations();
+            let times = core
                 .scheduler
-                .evaluate_times(state.instance, &self.decision)?;
-            self.keys = self
+                .evaluate_times(state.instance, &core.decision)?;
+            core.keys = core
                 .scheduler
-                .priority_keys(state.instance, &self.decision, &times)?;
+                .priority_keys(state.instance, &core.decision, &times)?;
         } else {
-            let (sub_dag, mapping) = state.instance.dag.induced_subgraph_sorted(live);
-            let sub_jobs: Vec<MoldableJob> = mapping
+            let sub_instance = state.instance.induced(live, state.instance.system.clone());
+            let sub_decision: Vec<Allocation> = live
                 .iter()
-                .map(|&old| state.instance.jobs[old].clone())
+                .map(|&j| state.plan.jobs[j].alloc.clone())
                 .collect();
-            let sub_instance = Instance::new(state.instance.system.clone(), sub_dag, sub_jobs)
-                .map_err(|e| SimError::InvalidPlan(e.to_string()))?;
-            let sub_decision: Vec<Allocation> = mapping
-                .iter()
-                .map(|&old| state.plan.jobs[old].alloc.clone())
-                .collect();
-            let times = self
+            let times = core
                 .scheduler
                 .evaluate_times(&sub_instance, &sub_decision)?;
-            let sub_keys = self
+            let sub_keys = core
                 .scheduler
                 .priority_keys(&sub_instance, &sub_decision, &times)?;
-            self.decision.resize(n, Allocation::new(Vec::new()));
-            self.keys.resize(n, 0.0);
-            for ((&old, key), alloc) in mapping.iter().zip(sub_keys).zip(sub_decision) {
-                self.keys[old] = key;
-                self.decision[old] = alloc;
+            core.decision.resize(n, Allocation::new(Vec::new()));
+            core.keys.resize(n, 0.0);
+            for ((&j, key), alloc) in live.iter().zip(sub_keys).zip(sub_decision) {
+                core.keys[j] = key;
+                core.decision[j] = alloc;
             }
         }
-        self.mirror.rebuild(state, live, &self.keys, &self.decision);
-        self.settled = false;
+        core.rebuild(state, live);
         Ok(())
     }
 }
@@ -392,42 +397,11 @@ impl Policy for ReactiveListPolicy {
     }
 
     fn on_start(&mut self, state: &SimState<'_>) -> Result<(), SimError> {
-        let live = live_frontier(state);
-        self.init_over(state, &live)?;
-        self.last_live = Some(live);
-        Ok(())
+        self.init_over(state, &live_frontier(state))
     }
 
     fn on_plan_update(&mut self, state: &SimState<'_>, live: &[usize]) -> Result<(), SimError> {
-        // Diff-aware refresh: when the frontier is the one the keys were
-        // derived over and no live placement changed, the induced
-        // sub-instance is identical, so the recompute (times, bottom levels,
-        // keys) would reproduce the stored keys bit for bit — skip it and
-        // only rebuild the ready-queue mirror.
-        let unchanged = self.last_live.as_deref() == Some(live)
-            && live
-                .iter()
-                .all(|&j| state.plan.jobs[j].alloc == self.decision[j]);
-        if unchanged {
-            #[cfg(debug_assertions)]
-            {
-                let mut fresh = self.clone();
-                fresh.init_over(state, live)?;
-                for &j in live {
-                    debug_assert_eq!(
-                        self.keys[j].to_bits(),
-                        fresh.keys[j].to_bits(),
-                        "diff-aware key reuse diverged from a full recompute (job {j})"
-                    );
-                }
-            }
-            self.mirror.rebuild(state, live, &self.keys, &self.decision);
-            self.settled = false;
-            return Ok(());
-        }
-        self.init_over(state, live)?;
-        self.last_live = Some(live.to_vec());
-        Ok(())
+        self.init_over(state, live)
     }
 
     fn on_events(
@@ -435,27 +409,12 @@ impl Policy for ReactiveListPolicy {
         state: &SimState<'_>,
         batch: &[TraceEvent],
     ) -> Result<Vec<TraceEvent>, SimError> {
-        self.settled = false;
-        self.mirror.absorb(state, batch, &self.keys, &self.decision);
+        self.core.absorb(state, batch);
         Ok(vec![])
     }
 
     fn select_starts(&mut self, state: &SimState<'_>) -> Vec<(usize, Allocation)> {
-        if self.settled {
-            return Vec::new();
-        }
-        let mut resources = state.resources.clone();
-        let started = self.scheduler.schedule_ready(
-            &mut self.mirror.queue,
-            &self.keys,
-            &self.decision,
-            &mut resources,
-        );
-        self.settled = true;
-        started
-            .into_iter()
-            .map(|j| (j, self.decision[j].clone()))
-            .collect()
+        self.core.select_starts(state)
     }
 }
 
@@ -475,11 +434,10 @@ impl Policy for ReactiveListPolicy {
 pub struct FullReschedulePolicy {
     config: MrlsConfig,
     straggler_threshold: f64,
-    scheduler: ListScheduler,
-    decision: Vec<Allocation>,
-    keys: Vec<f64>,
-    mirror: MirroredQueue,
-    settled: bool,
+    /// The list core; its ready queue's universe is the live frontier the
+    /// policy was last initialised over, which re-plans filter for pending
+    /// jobs.
+    core: ListCore,
     min_interval: f64,
     last_reschedule: f64,
     /// Latest planned finish among completed jobs, maintained incrementally
@@ -503,11 +461,7 @@ impl FullReschedulePolicy {
         FullReschedulePolicy {
             config,
             straggler_threshold: straggler_threshold.max(1.0),
-            scheduler: ListScheduler::new(priority),
-            decision: Vec::new(),
-            keys: Vec::new(),
-            mirror: MirroredQueue::default(),
-            settled: false,
+            core: ListCore::new(priority),
             min_interval: 0.0,
             last_reschedule: f64::NEG_INFINITY,
             planned_completed_max: 0.0,
@@ -519,21 +473,21 @@ impl FullReschedulePolicy {
     /// and `on_plan_update`.
     fn init_over(&mut self, state: &SimState<'_>, live: &[usize]) {
         let n = state.instance.num_jobs();
+        let core = &mut self.core;
         // Replay priorities: the planned start times (ties broken by job
         // index inside the placement routine). Only the live frontier is
         // ever read back — completed jobs cannot re-enter the ready set, and
         // a running job that fails re-enters through its frontier entry — so
         // initialisation is O(live), not O(world).
-        self.decision.resize(n, Allocation::new(Vec::new()));
-        self.keys.resize(n, 0.0);
+        core.decision.resize(n, Allocation::new(Vec::new()));
+        core.keys.resize(n, 0.0);
         for &j in live {
-            self.decision[j] = state.plan.jobs[j].alloc.clone();
-            self.keys[j] = state.plan.jobs[j].start;
+            core.decision[j] = state.plan.jobs[j].alloc.clone();
+            core.keys[j] = state.plan.jobs[j].start;
         }
+        core.rebuild(state, live);
         self.min_interval = MIN_INTERVAL_FRAC * state.plan.makespan.max(0.0);
         self.last_reschedule = f64::NEG_INFINITY;
-        self.mirror.rebuild(state, live, &self.keys, &self.decision);
-        self.settled = false;
     }
 
     /// The reschedule trigger in `batch`, if any.
@@ -579,39 +533,42 @@ impl FullReschedulePolicy {
         trigger == "straggler" && self.progress_stretch(state) <= STRETCH_THRESHOLD
     }
 
-    /// Recomputes allocations and priorities for every pending (unstarted)
-    /// job by scheduling the induced sub-instance from scratch. If the
-    /// scheduler fails, the current allocations are kept, clamped to the
-    /// capacities, and the fallback is counted in
-    /// `sim.policy.reschedule_fallbacks`.
+    /// Recomputes allocations and priorities for every pending (unstarted,
+    /// unabandoned) job by scheduling them from scratch
+    /// ([`MrlsScheduler::schedule_pending`]). The pending jobs are found in
+    /// the live frontier, O(live). If the scheduler fails, the current
+    /// allocations are kept, clamped to the capacities, and the fallback is
+    /// counted in `sim.policy.reschedule_fallbacks`.
     fn reschedule(&mut self, state: &SimState<'_>) -> Result<usize, SimError> {
-        let n = state.instance.num_jobs();
-        let pending: Vec<usize> = (0..n)
-            .filter(|&j| !state.started[j] && !state.abandoned[j])
-            .collect();
+        let is_pending = |&j: &usize| !state.started[j] && !state.abandoned[j];
+        let frontier = self.core.queue.universe();
+        let pending: Vec<usize> = frontier.iter().copied().filter(is_pending).collect();
+        debug_assert_eq!(
+            pending,
+            (0..state.instance.num_jobs())
+                .filter(is_pending)
+                .collect::<Vec<_>>()
+        );
         if pending.is_empty() {
             return Ok(0);
         }
-        let (sub_dag, mapping) = state.instance.dag.induced_subgraph_sorted(&pending);
-        let sub_jobs: Vec<MoldableJob> = mapping
-            .iter()
-            .map(|&old| state.instance.jobs[old].clone())
-            .collect();
         // Plan against the machine as it is now (post-drop capacities); the
         // scenario guarantees capacities stay >= 1.
         let system = SystemConfig::new(state.capacities.clone())
             .map_err(|e| SimError::InvalidScenario(e.to_string()))?;
-        let sub_instance = Instance::new(system, sub_dag, sub_jobs)
-            .map_err(|e| SimError::InvalidScenario(e.to_string()))?;
-        match MrlsScheduler::new(self.config.clone()).schedule(&sub_instance) {
-            Ok(result) => {
+        let core = &mut self.core;
+        match MrlsScheduler::new(self.config.clone()).schedule_pending(
+            state.instance,
+            &pending,
+            system,
+        ) {
+            Ok(entries) => {
                 // Adopt the new allocations; use the new plan's start times
                 // as priorities (pending jobs only ever compete with each
                 // other, so keys of started jobs are irrelevant).
-                for sj in &result.schedule.jobs {
-                    let old = mapping[sj.job];
-                    self.decision[old] = sj.alloc.clone();
-                    self.keys[old] = sj.start;
+                for sj in entries {
+                    core.keys[sj.job] = sj.start;
+                    core.decision[sj.job] = sj.alloc;
                 }
             }
             Err(e) => {
@@ -622,8 +579,8 @@ impl FullReschedulePolicy {
                     mrls_core::cause_counter!("sim.policy.reschedule_fallbacks", &e),
                     1,
                 );
-                for &old in &pending {
-                    let alloc = &self.decision[old];
+                for &j in &pending {
+                    let alloc = &core.decision[j];
                     let clamped: Vec<u64> = (0..alloc.dim())
                         .map(|i| {
                             if alloc[i] == 0 {
@@ -633,13 +590,13 @@ impl FullReschedulePolicy {
                             }
                         })
                         .collect();
-                    self.decision[old] = Allocation::new(clamped);
+                    core.decision[j] = Allocation::new(clamped);
                 }
             }
         }
         // The adopted keys reorder the mirrored ready queue (and re-rank its
         // requirement index, which is addressed by key order).
-        self.mirror.queue.resort(&self.keys, &self.decision);
+        core.queue.resort(&core.keys, &core.decision);
         Ok(pending.len())
     }
 }
@@ -691,7 +648,6 @@ impl Policy for FullReschedulePolicy {
         state: &SimState<'_>,
         batch: &[TraceEvent],
     ) -> Result<Vec<TraceEvent>, SimError> {
-        self.settled = false;
         // Fold this batch's completions into the progress maximum first:
         // the debounce below compares against plan progress *including*
         // them, exactly like the former full rescan did.
@@ -701,7 +657,7 @@ impl Policy for FullReschedulePolicy {
                     self.planned_completed_max.max(state.plan.jobs[*job].finish);
             }
         }
-        self.mirror.absorb(state, batch, &self.keys, &self.decision);
+        self.core.absorb(state, batch);
         let Some(trigger) = self.trigger(batch) else {
             return Ok(vec![]);
         };
@@ -718,20 +674,6 @@ impl Policy for FullReschedulePolicy {
     }
 
     fn select_starts(&mut self, state: &SimState<'_>) -> Vec<(usize, Allocation)> {
-        if self.settled {
-            return Vec::new();
-        }
-        let mut resources = state.resources.clone();
-        let started = self.scheduler.schedule_ready(
-            &mut self.mirror.queue,
-            &self.keys,
-            &self.decision,
-            &mut resources,
-        );
-        self.settled = true;
-        started
-            .into_iter()
-            .map(|j| (j, self.decision[j].clone()))
-            .collect()
+        self.core.select_starts(state)
     }
 }
