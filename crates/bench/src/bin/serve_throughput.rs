@@ -123,7 +123,7 @@ fn rounds_sweep(rounds: usize) {
         ]);
     };
 
-    let mut incremental = ServiceCore::new(config.clone());
+    let mut incremental = ServiceCore::new(config.clone()).expect("a valid serve config");
     let times = time_rounds(&mut incremental, rounds, |core, job| {
         core.submit_job("bench", job, &[]).expect("submit");
         let t = Instant::now();

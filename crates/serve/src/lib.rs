@@ -45,7 +45,8 @@
 //! let mut core = ServiceCore::new(ServeConfig {
 //!     capacities: vec![4, 4],
 //!     ..ServeConfig::default()
-//! });
+//! })
+//! .unwrap();
 //! let job = MoldableJob::new(0, ExecTimeSpec::Constant { time: 2.0 });
 //! let id = core.submit_job("alice", job, &[]).unwrap();
 //! let report = core.drain().unwrap();
@@ -256,7 +257,7 @@ fn service_loop(
             core
         }
         Err(e) => {
-            eprintln!("mrls-serve: recovery failed, refusing to serve: {e}");
+            eprintln!("mrls-serve: cannot open the service, refusing to serve: {e}");
             stopping.store(true, Ordering::SeqCst);
             let _ = TcpStream::connect(addr);
             return;

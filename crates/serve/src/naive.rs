@@ -31,8 +31,7 @@ use mrls_core::{Schedule, ScheduledJob};
 use mrls_dag::Dag;
 use mrls_model::{Instance, MoldableJob, SystemConfig};
 use mrls_sim::{
-    ChannelSource, FailCause, FailureSampler, Perturber, RealizedTrace, SimRun, SimSnapshot,
-    SourceEvent, TraceEvent,
+    EventFeed, FailCause, FailureSampler, Perturber, RealizedTrace, SimRun, SimSnapshot, TraceEvent,
 };
 use std::time::Instant;
 
@@ -450,18 +449,13 @@ impl NaiveService {
         let instance = Instance::new(system, dag, jobs).map_err(|e| e.to_string())?;
         let plan = self.build_plan(&instance, t, &batch.jobs)?;
 
-        let (tx, mut source) = ChannelSource::channel();
+        let mut feed = EventFeed::new();
         for &job in &batch.jobs {
-            let _ = tx.send(SourceEvent::Release { time: t, job });
+            feed.release(t, job);
         }
         for &(resource, capacity) in &batch.capacity_changes {
-            let _ = tx.send(SourceEvent::Capacity {
-                time: t,
-                resource,
-                capacity,
-            });
+            feed.capacity(t, resource, capacity);
         }
-        drop(tx);
 
         let mut run = match (&self.snapshot, self.perturber.take()) {
             (None, _) => SimRun::start(
@@ -497,9 +491,9 @@ impl NaiveService {
         }
         let mut policy = self.config.policy.build_with(&self.config.scheduler);
         if complete {
-            run.drive(policy.as_mut(), &mut source)
+            run.drive(policy.as_mut(), &mut feed)
         } else {
-            run.drive_until(policy.as_mut(), &mut source, t)
+            run.drive_until(policy.as_mut(), &mut feed, t)
         }
         .map_err(|e| e.to_string())?;
 

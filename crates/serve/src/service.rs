@@ -1,15 +1,19 @@
 //! The service core: a growing world of submitted jobs executed by the
 //! `mrls-sim` virtual-time engine, one batching round at a time.
 //!
-//! Each flushed batch becomes one **round**: the new jobs and capacity
-//! changes are stamped with a single virtual time (`max(engine now, round ×
-//! tick)` — deterministic in the submission order, never wall clock), fed
-//! through a long-lived [`ChannelFeeder`], and a **persistent**
-//! [`SimRun`] is driven forward. Pending jobs are (re-)planned with
-//! the paper's two-phase scheduler against the machine's *current*
-//! capacities; the planner output is diffed against the in-flight plan
+//! The engine is built with the core: [`ServiceCore::new`] starts one
+//! **persistent** [`SimRun`] over the empty world, and every round, the
+//! first included, takes the same path. It syncs the realized placements of
+//! started jobs into the plan, grows the run by the jobs, edges and capacity
+//! bounds admitted since, re-plans the pending jobs with the paper's
+//! two-phase scheduler against the machine's *current* capacities, and
+//! diffs the planner output against the in-flight plan
 //! (`mrls_core::diff_plan_entries`) so unchanged placements are not
-//! re-applied. After every round the engine's processed events are
+//! re-applied. The round's new jobs and capacity changes are then stamped
+//! with a single virtual time (`max(engine now, round × tick)` —
+//! deterministic in the submission order, never wall clock), pushed into an
+//! [`EventFeed`], and the run is driven forward until the feed is consumed.
+//! After every round the engine's processed events are
 //! **harvested** into the metrics layer's [`EventLedger`], so the retained
 //! engine state — and any checkpoint of it — stays O(live) instead of
 //! O(history): per-round cost is flat in the round index where the old
@@ -36,8 +40,8 @@ use mrls_core::{diff_plan_entries, MrlsConfig, MrlsScheduler, Schedule, Schedule
 use mrls_dag::Dag;
 use mrls_model::{Allocation, Instance, MoldableJob, SystemConfig};
 use mrls_sim::{
-    ChannelFeeder, ChannelSource, FailCause, FailurePlan, PerturbationModel, Policy, PolicyKind,
-    RealizedTrace, SimRun, SimSnapshot, TraceEvent,
+    EventFeed, FailCause, FailurePlan, PerturbationModel, Policy, PolicyKind, RealizedTrace,
+    SimRun, SimSnapshot, TraceEvent,
 };
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -205,15 +209,15 @@ pub(crate) fn plan_pending(
     }
 }
 
-/// A NaN-stamped placeholder entry for a job appended to the running world
-/// before its first planning; bit-compare-never-equal, so the next plan diff
-/// always installs the real placement.
-fn placeholder_entry(job: usize, d: usize) -> ScheduledJob {
+/// A NaN-stamped placeholder plan entry carrying the allocation the job
+/// would run with; bit-compare-never-equal, so the next plan diff always
+/// installs the real placement.
+fn placeholder_entry(job: usize, alloc: Allocation) -> ScheduledJob {
     ScheduledJob {
         job,
         start: f64::NAN,
         finish: f64::NAN,
-        alloc: Allocation::new(vec![1; d]),
+        alloc,
     }
 }
 
@@ -342,9 +346,10 @@ pub struct RoundStateStats {
 }
 
 /// The service core. Owns the world (every admitted job and edge), one
-/// **persistent** engine run carried across rounds, the harvested-event
-/// ledger, the ingest queue and the metrics registry. Free of I/O — the TCP
-/// layer in [`crate::Server`] drives it, and tests can call it directly.
+/// **persistent** engine run built with the core and carried across rounds,
+/// the harvested-event ledger, the ingest queue and the metrics registry.
+/// Free of I/O — the TCP layer in [`crate::Server`] drives it, and tests can
+/// call it directly.
 #[derive(Debug)]
 pub struct ServiceCore {
     config: ServeConfig,
@@ -352,17 +357,16 @@ pub struct ServiceCore {
     edges: Vec<(usize, usize)>,
     capacities_now: Vec<u64>,
     capacities_max: Vec<u64>,
-    /// The live engine world, created at the first round and kept across
-    /// rounds (never cloned, never replayed).
-    run: Option<SimRun>,
+    /// The live engine world over `world[..run.instance().num_jobs()]`,
+    /// built over the empty world with the core and kept across rounds
+    /// (never cloned, never replayed).
+    run: SimRun,
     /// The **persistent policy instance** driven inside every round: built
     /// once, refreshed between rounds with the incremental
     /// [`Policy::on_plan_update`] hook over the live frontier — O(live)
     /// per round where building and `on_start`-ing a fresh instance was
     /// O(world).
     policy: Box<dyn Policy>,
-    /// The long-lived event channel feeding the run.
-    feed: Option<(ChannelFeeder, ChannelSource)>,
     /// Archive of events harvested out of the engine.
     ledger: EventLedger,
     /// Unstarted, unabandoned job ids, sorted ascending (the re-planning
@@ -373,8 +377,6 @@ pub struct ServiceCore {
     /// plan stays fixed during a drive — exactly what the naive rebuild
     /// would install).
     needs_sync: Vec<usize>,
-    /// How many world jobs the run has been grown to.
-    grown: usize,
     /// How many world edges the run's DAG has been grown to.
     edge_cursor: usize,
     ingest: IngestQueue,
@@ -416,10 +418,30 @@ pub struct ServiceCore {
 }
 
 impl ServiceCore {
-    /// Creates an idle service for the configured machine.
-    pub fn new(config: ServeConfig) -> Self {
+    /// Creates an idle service for the configured machine, with its engine
+    /// run over the empty world. Refuses a machine the engine cannot model
+    /// (no resource types, or a zero capacity).
+    pub fn new(config: ServeConfig) -> Result<Self, String> {
         let ingest = IngestQueue::new(config.batch_window, config.max_pending_jobs);
         let capacities = config.capacities.clone();
+        let system = SystemConfig::new(capacities.clone()).map_err(|e| e.to_string())?;
+        let empty = Instance {
+            system,
+            dag: Dag::independent(0),
+            jobs: Vec::new(),
+        };
+        let mut run = SimRun::start(
+            empty,
+            Schedule::new(Vec::new()),
+            config.seed,
+            config.perturbation.clone(),
+            None,
+            Vec::new(),
+        )
+        .map_err(|e| e.to_string())?;
+        if !config.failures.is_failure_free() {
+            run.set_failures(config.failures.clone());
+        }
         let policy = config.policy.build_with(&config.scheduler);
         if config.timing {
             // Never disabled here: the flag is process-wide and another core
@@ -433,19 +455,17 @@ impl ServiceCore {
         mrls_obs::set_enabled(true);
         let _ = mrls_obs::take();
         let dedup = DedupWindow::new(config.dedup_window);
-        ServiceCore {
+        Ok(ServiceCore {
             config,
             world: Vec::new(),
             edges: Vec::new(),
             capacities_now: capacities.clone(),
             capacities_max: capacities,
-            run: None,
+            run,
             policy,
-            feed: None,
             ledger: EventLedger::new(),
             pending: Vec::new(),
             needs_sync: Vec::new(),
-            grown: 0,
             edge_cursor: 0,
             ingest,
             metrics: MetricsRegistry::new(),
@@ -464,7 +484,7 @@ impl ServiceCore {
             checkpoints_written: 0,
             recoveries: 0,
             truncated_bytes: 0,
-        }
+        })
     }
 
     /// Creates or recovers the service for the configured durability
@@ -476,7 +496,8 @@ impl ServiceCore {
     pub fn open(config: ServeConfig) -> Result<(Self, Option<RecoveryReport>), RecoverError> {
         let durable = config.dir.is_some() && config.durability != DurabilityMode::Off;
         if !durable {
-            return Ok((ServiceCore::new(config), None));
+            let core = ServiceCore::new(config).map_err(RecoverError::Config)?;
+            return Ok((core, None));
         }
         let dir = config.dir.clone().expect("checked above");
         std::fs::create_dir_all(&dir)?;
@@ -485,7 +506,7 @@ impl ServiceCore {
             let (core, report) = Self::recover(config)?;
             return Ok((core, Some(report)));
         }
-        let mut core = ServiceCore::new(config.clone());
+        let mut core = ServiceCore::new(config.clone()).map_err(RecoverError::Config)?;
         std::fs::write(dir.join("CONFIG"), format!("{}\n", config_digest(&config)))?;
         core.wal = Some(WalWriter::create(&path, config.durability)?);
         Ok((core, None))
@@ -562,7 +583,10 @@ impl ServiceCore {
                 }
             }
         }
-        let mut core = core.unwrap_or_else(|| ServiceCore::new(config.clone()));
+        let mut core = match core {
+            Some(core) => core,
+            None => ServiceCore::new(config.clone()).map_err(RecoverError::Config)?,
+        };
         let suffix = &scan.records[checkpoint_seq as usize..];
         let replayed_rounds = core.replay(suffix)?;
         let mut writer = WalWriter::resume(&path, config.durability, &scan)?;
@@ -612,12 +636,11 @@ impl ServiceCore {
         {
             return Err("checkpoint ledger does not match its engine snapshot".to_string());
         }
-        let mut core = ServiceCore::new(config);
+        let mut core = ServiceCore::new(config)?;
         core.world = state.world;
         core.edges = state.edges;
         core.capacities_now = state.capacities_now;
         core.capacities_max = state.capacities_max;
-        core.grown = state.grown;
         core.edge_cursor = state.edge_cursor;
         core.rebuild_engine(&state.snapshot)?;
         core.ledger = EventLedger::restore(state.ledger_events, state.ledger_watermark);
@@ -750,16 +773,13 @@ impl ServiceCore {
         let Some(dir) = self.config.dir.clone() else {
             return;
         };
-        if self.run.is_none() {
-            return;
-        }
         let every = self.config.checkpoint_every_rounds;
         let since = self.rounds - self.last_checkpoint_round.unwrap_or(0);
         if !(force || (every > 0 && since >= every)) {
             return;
         }
         debug_assert!(self.ingest.is_empty(), "checkpoints cover the whole log");
-        let snapshot = self.run.as_ref().expect("checked above").checkpoint();
+        let snapshot = self.run.checkpoint();
         let engine_digest = snapshot.digest();
         let state = DurableState {
             wal_seq,
@@ -779,7 +799,7 @@ impl ServiceCore {
             virtual_now: self.virtual_now,
             plan_updates_applied: self.plan_updates_applied,
             plan_entries_unchanged: self.plan_entries_unchanged,
-            grown: self.grown,
+            grown: self.run.instance().num_jobs(),
             edge_cursor: self.edge_cursor,
             recoveries: self.recoveries,
             truncated_bytes: self.truncated_bytes,
@@ -840,7 +860,7 @@ impl ServiceCore {
     /// Incremental-state introspection counters.
     pub fn round_state_stats(&self) -> RoundStateStats {
         RoundStateStats {
-            retained_events: self.run.as_ref().map_or(0, |r| r.events().len()),
+            retained_events: self.run.events().len(),
             archived_events: self.ledger.len(),
             harvested_until: self.ledger.watermark(),
             plan_updates_applied: self.plan_updates_applied,
@@ -1156,7 +1176,7 @@ impl ServiceCore {
             .expect("completing rounds always produce a trace");
         self.maybe_checkpoint(true);
         let submitted = self.world.len() as u64;
-        let completed = self.run.as_ref().map_or(0, |r| r.num_completed() as u64);
+        let completed = self.run.num_completed() as u64;
         Ok(DrainReport {
             virtual_makespan: trace.stats.realized_makespan,
             submitted,
@@ -1168,11 +1188,11 @@ impl ServiceCore {
     }
 
     /// Serialises the engine's truncated checkpoint (live state plus the
-    /// harvest watermark — no event history; that lives in the ledger), if a
-    /// round ever ran. Together with the service's own durable record (the
-    /// submitted world, metrics, ledger) this is the crash-recovery artefact.
-    pub fn checkpoint_engine_json(&self) -> Option<String> {
-        self.run.as_ref().map(|r| r.checkpoint().to_json())
+    /// harvest watermark — no event history; that lives in the ledger).
+    /// Together with the service's own durable record (the submitted world,
+    /// metrics, ledger) this is the crash-recovery artefact.
+    pub fn checkpoint_engine_json(&self) -> String {
+        self.run.checkpoint().to_json()
     }
 
     /// Drops the live engine and rebuilds it from a checkpoint previously
@@ -1188,14 +1208,11 @@ impl ServiceCore {
     pub fn restore_engine_json(&mut self, json: &str) -> Result<(), String> {
         self.check_fault()?;
         let snapshot = SimSnapshot::from_json(json).map_err(|e| e.to_string())?;
-        if self.run.is_none() {
-            return Err("no live engine to restore (no round has run yet)".to_string());
-        }
-        if snapshot.num_jobs() != self.grown {
+        let grown = self.run.instance().num_jobs();
+        if snapshot.num_jobs() != grown {
             return Err(format!(
-                "checkpoint covers {} jobs but the engine world has {}",
-                snapshot.num_jobs(),
-                self.grown
+                "checkpoint covers {} jobs but the engine world has {grown}",
+                snapshot.num_jobs()
             ));
         }
         if snapshot.harvested_events + snapshot.events.len() != self.ledger.len() {
@@ -1215,24 +1232,23 @@ impl ServiceCore {
     }
 
     /// Rebuilds the live engine from `snapshot` against the service's world
-    /// record (`world[..grown]`, `edges[..edge_cursor]`, `capacities_max`)
-    /// and re-derives the pending frontier from the restored flags. Nothing
-    /// changes when it fails.
+    /// record (`world[..grown]` for the snapshot's `grown` jobs,
+    /// `edges[..edge_cursor]`, `capacities_max`) and re-derives the pending
+    /// frontier from the restored flags. Nothing changes when it fails.
     fn rebuild_engine(&mut self, snapshot: &SimSnapshot) -> Result<(), String> {
-        let d = self.num_resource_types();
+        let grown = snapshot.num_jobs();
         let system = SystemConfig::new(self.capacities_max.clone()).map_err(|e| e.to_string())?;
-        let dag = Dag::from_edges(self.grown, &self.edges[..self.edge_cursor])
-            .map_err(|e| e.to_string())?;
-        let jobs: Vec<MoldableJob> = self.world[..self.grown]
-            .iter()
-            .map(|w| w.job.clone())
-            .collect();
+        let dag =
+            Dag::from_edges(grown, &self.edges[..self.edge_cursor]).map_err(|e| e.to_string())?;
+        let jobs: Vec<MoldableJob> = self.world[..grown].iter().map(|w| w.job.clone()).collect();
         let instance = Instance::new(system, dag, jobs).map_err(|e| e.to_string())?;
-        // Realized placements for started jobs, placeholders for pending
-        // ones — the next round's plan diff installs fresh placements for
-        // every pending job (placeholders never bit-match).
+        // Realized placements for started jobs, placeholders carrying the
+        // recorded allocation for the others — the next round's plan diff
+        // installs fresh placements for every pending job (placeholders
+        // never bit-match), and an abandoned job keeps its last plan's
+        // allocation.
         let plan = Schedule::new(
-            (0..self.grown)
+            (0..grown)
                 .map(|j| {
                     if snapshot.started[j] {
                         ScheduledJob {
@@ -1242,7 +1258,7 @@ impl ServiceCore {
                             alloc: snapshot.alloc_used[j].clone(),
                         }
                     } else {
-                        placeholder_entry(j, d)
+                        placeholder_entry(j, snapshot.alloc_used[j].clone())
                     }
                 })
                 .collect(),
@@ -1261,13 +1277,12 @@ impl ServiceCore {
             run.set_failures(self.config.failures.clone());
         }
         let abandoned = |j: usize| snapshot.abandoned.get(j).copied().unwrap_or(false);
-        self.pending = (0..self.grown)
+        self.pending = (0..grown)
             .filter(|&j| !snapshot.started[j] && !abandoned(j))
-            .chain(self.grown..self.world.len())
+            .chain(grown..self.world.len())
             .collect();
         self.needs_sync.clear();
-        self.run = Some(run);
-        self.feed = Some(ChannelSource::feeder());
+        self.run = run;
         Ok(())
     }
 
@@ -1362,7 +1377,7 @@ impl ServiceCore {
             let tenant = self.world[j].tenant.clone();
             self.metrics.record_planned(&tenant, finish);
         }
-        let run = self.run.as_mut().expect("prepare_round created the run");
+        let run = &mut self.run;
         let delta = mrls_core::time_phase!("diff", diff_plan_entries(run.plan(), &desired));
         self.plan_entries_unchanged += delta.unchanged as u64;
         let applied = mrls_core::time_phase!(
@@ -1399,18 +1414,21 @@ impl ServiceCore {
                 .map_err(|e| e.to_string())?
         );
 
-        let (feeder, source) = self.feed.as_mut().expect("feed lives with the run");
+        let mut feed = EventFeed::new();
         for &job in &batch.jobs {
-            feeder.release(t, job);
+            feed.release(t, job);
         }
         for &(resource, capacity) in &batch.capacity_changes {
-            feeder.capacity(t, resource, capacity);
+            feed.capacity(t, resource, capacity);
         }
         mrls_core::time_phase!(
             "drive",
-            run.drive_prepared(self.policy.as_mut(), source, (!complete).then_some(t))
+            run.drive_prepared(self.policy.as_mut(), &mut feed, (!complete).then_some(t))
                 .map_err(|e| e.to_string())?
         );
+        // Every event is stamped at or before the drive's stop time, so the
+        // drive consumes the whole round.
+        debug_assert!(feed.is_empty(), "a round's drive consumes its feed");
 
         let _harvest = mrls_core::timing::scope("harvest");
         self.virtual_now = run.now();
@@ -1491,76 +1509,43 @@ impl ServiceCore {
         record.virtual_time = self.virtual_now;
         record.pending_after = self.pending.len() as u64;
         drop(_harvest);
-        let trace = complete.then(|| {
-            let run = self.run.as_ref().expect("run outlives the round");
-            run.trace_with_prefix(self.config.policy.label(), self.ledger.archived())
-        });
+        let trace = complete
+            .then(|| run.trace_with_prefix(self.config.policy.label(), self.ledger.archived()));
         Ok(trace)
     }
 
     /// Brings the persistent run in sync with the submitted world before a
-    /// round: creates it at the first round, otherwise freezes realized
-    /// placements of previously started jobs into the plan, grows the run by
-    /// the jobs/edges/capacity bounds admitted since, and re-plans the
-    /// pending frontier. Returns the desired placements (`[i]` describes
-    /// `pending[i]`), ready to be diffed against the in-flight plan.
+    /// round: freezes realized placements of previously started jobs into
+    /// the plan, grows the run by the jobs/edges/capacity bounds admitted
+    /// since, and re-plans the pending frontier. Returns the desired
+    /// placements (`[i]` describes `pending[i]`), ready to be diffed against
+    /// the in-flight plan.
     fn prepare_round(&mut self, t: f64) -> Result<Vec<ScheduledJob>, String> {
-        let d = self.num_resource_types();
-        if let Some(run) = self.run.as_mut() {
-            run.sync_realized(&self.needs_sync)
-                .map_err(|e| e.to_string())?;
-            self.needs_sync.clear();
-            let n = self.world.len();
-            let bounds_changed =
-                run.instance().system.capacities() != self.capacities_max.as_slice();
-            if n > self.grown || bounds_changed {
-                let system =
-                    SystemConfig::new(self.capacities_max.clone()).map_err(|e| e.to_string())?;
-                let new_jobs: Vec<MoldableJob> = self.world[self.grown..]
-                    .iter()
-                    .map(|w| w.job.clone())
-                    .collect();
-                let placeholders: Vec<ScheduledJob> =
-                    (self.grown..n).map(|j| placeholder_entry(j, d)).collect();
-                run.grow(
-                    system,
-                    new_jobs,
-                    &self.edges[self.edge_cursor..],
-                    placeholders,
-                )
-                .map_err(|e| e.to_string())?;
-                self.grown = n;
-                self.edge_cursor = self.edges.len();
-            }
-        } else {
-            let n = self.world.len();
+        let run = &mut self.run;
+        run.sync_realized(&self.needs_sync)
+            .map_err(|e| e.to_string())?;
+        self.needs_sync.clear();
+        let grown = run.instance().num_jobs();
+        let n = self.world.len();
+        let bounds_changed = run.instance().system.capacities() != self.capacities_max.as_slice();
+        if n > grown || bounds_changed {
             let system =
                 SystemConfig::new(self.capacities_max.clone()).map_err(|e| e.to_string())?;
-            let dag = Dag::from_edges(n, &self.edges).map_err(|e| e.to_string())?;
-            let jobs: Vec<MoldableJob> = self.world.iter().map(|w| w.job.clone()).collect();
-            let instance = Instance::new(system, dag, jobs).map_err(|e| e.to_string())?;
-            // Nothing has started: the whole world is the pending frontier,
-            // planned from scratch and installed as plan placeholders so the
-            // uniform diff-and-apply below sees them as fresh.
-            let plan = Schedule::new((0..n).map(|j| placeholder_entry(j, d)).collect());
-            let mut run = SimRun::start(
-                instance,
-                plan,
-                self.config.seed,
-                self.config.perturbation.clone(),
-                None,
-                vec![false; n],
+            let new_jobs: Vec<MoldableJob> =
+                self.world[grown..].iter().map(|w| w.job.clone()).collect();
+            let unit = Allocation::new(vec![1; self.config.capacities.len()]);
+            let placeholders: Vec<ScheduledJob> = (grown..n)
+                .map(|j| placeholder_entry(j, unit.clone()))
+                .collect();
+            run.grow(
+                system,
+                new_jobs,
+                &self.edges[self.edge_cursor..],
+                placeholders,
             )
             .map_err(|e| e.to_string())?;
-            if !self.config.failures.is_failure_free() {
-                run.set_failures(self.config.failures.clone());
-            }
-            self.run = Some(run);
-            self.feed = Some(ChannelSource::feeder());
-            self.grown = n;
             self.edge_cursor = self.edges.len();
         }
-        let run = self.run.as_ref().expect("created above");
         plan_pending(
             run.instance(),
             &self.capacities_now,
@@ -1573,14 +1558,11 @@ impl ServiceCore {
     /// Validates the realized schedule of a drained world
     /// (capacity/precedence feasibility, durations relaxed).
     fn validate(&self, trace: &RealizedTrace) -> bool {
-        let Some(run) = self.run.as_ref() else {
-            return self.world.is_empty();
-        };
-        if run.instance().num_jobs() == 0 {
+        if self.run.instance().num_jobs() == 0 {
             return true;
         }
         validate_schedule_with(
-            run.instance(),
+            self.run.instance(),
             &trace.realized,
             ValidationOptions {
                 check_durations: false,
@@ -1609,7 +1591,7 @@ mod tests {
 
     #[test]
     fn submit_flush_drain_completes_everything() {
-        let mut core = ServiceCore::new(config());
+        let mut core = ServiceCore::new(config()).unwrap();
         let a = core.submit_job("alice", job(2.0), &[]).unwrap();
         let b = core.submit_job("alice", job(1.0), &[a]).unwrap();
         assert_eq!((a, b), (0, 1));
@@ -1632,7 +1614,7 @@ mod tests {
 
     #[test]
     fn rounds_overlap_in_virtual_time() {
-        let mut core = ServiceCore::new(config());
+        let mut core = ServiceCore::new(config()).unwrap();
         core.submit_job("a", job(10.0), &[]).unwrap();
         core.flush().unwrap();
         // The first job is still running at the second round's stamp.
@@ -1646,7 +1628,7 @@ mod tests {
 
     #[test]
     fn capacity_changes_land_in_their_round() {
-        let mut core = ServiceCore::new(config());
+        let mut core = ServiceCore::new(config()).unwrap();
         core.submit_job("a", job(5.0), &[]).unwrap();
         core.flush().unwrap();
         core.submit_capacity(0, 2).unwrap();
@@ -1670,7 +1652,7 @@ mod tests {
     fn a_round_plans_at_the_largest_capacity() {
         // The powers-of-two axis of a `u64::MAX` capacity has 65 values; the
         // doubling that built it once never ended there.
-        let mut core = ServiceCore::new(config());
+        let mut core = ServiceCore::new(config()).unwrap();
         core.submit_capacity(0, u64::MAX).unwrap();
         let spec = ExecTimeSpec::Amdahl {
             seq: 1.0,
@@ -1687,7 +1669,7 @@ mod tests {
 
     #[test]
     fn invalid_submissions_are_rejected() {
-        let mut core = ServiceCore::new(config());
+        let mut core = ServiceCore::new(config()).unwrap();
         // Unknown dependency.
         assert!(core.submit_job("a", job(1.0), &[5]).is_err());
         // Wrong dimensionality.
@@ -1724,7 +1706,8 @@ mod tests {
             capacities: vec![4, 4],
             max_pending_jobs: 2,
             ..ServeConfig::default()
-        });
+        })
+        .unwrap();
         core.submit_job("a", job(1.0), &[]).unwrap();
         core.submit_job("a", job(1.0), &[]).unwrap();
         let err = core.submit_job("a", job(1.0), &[]).unwrap_err();
@@ -1740,7 +1723,7 @@ mod tests {
     #[test]
     fn same_submission_order_is_byte_identical() {
         let run = || {
-            let mut core = ServiceCore::new(config());
+            let mut core = ServiceCore::new(config()).unwrap();
             core.submit_dag("a", vec![job(2.0), job(1.0)], &[(0, 1)])
                 .unwrap();
             core.flush().unwrap();
@@ -1759,7 +1742,7 @@ mod tests {
 
     #[test]
     fn engine_retains_no_events_between_rounds() {
-        let mut core = ServiceCore::new(config());
+        let mut core = ServiceCore::new(config()).unwrap();
         for i in 0..5 {
             core.submit_job("a", job(1.0 + i as f64), &[]).unwrap();
             core.flush().unwrap();
@@ -1772,7 +1755,7 @@ mod tests {
         let stats = core.round_state_stats();
         assert!(stats.archived_events > 0);
         // The truncated checkpoint carries no history.
-        let snapshot = SimSnapshot::from_json(&core.checkpoint_engine_json().unwrap()).unwrap();
+        let snapshot = SimSnapshot::from_json(&core.checkpoint_engine_json()).unwrap();
         assert!(snapshot.events.is_empty());
         assert_eq!(snapshot.harvested_events, stats.archived_events);
         let report = core.drain().unwrap();
@@ -1787,7 +1770,7 @@ mod tests {
 
     #[test]
     fn steady_state_skips_unchanged_placements() {
-        let mut core = ServiceCore::new(config());
+        let mut core = ServiceCore::new(config()).unwrap();
         for _ in 0..4 {
             core.submit_job("a", job(50.0), &[]).unwrap();
             core.flush().unwrap();
@@ -1808,7 +1791,8 @@ mod tests {
             capacities: vec![4, 4],
             timing: true,
             ..ServeConfig::default()
-        });
+        })
+        .unwrap();
         core.submit_job("a", job(2.0), &[]).unwrap();
         core.flush().unwrap();
         let snap = core.status();
@@ -1822,7 +1806,7 @@ mod tests {
         assert!(core.status().timings.is_empty());
         // Snapshots of a timing-off core stay empty (and byte-stable) even
         // while another core enabled collection process-wide.
-        let mut plain = ServiceCore::new(config());
+        let mut plain = ServiceCore::new(config()).unwrap();
         plain.submit_job("a", job(1.0), &[]).unwrap();
         plain.flush().unwrap();
         assert!(plain.status().timings.is_empty());
@@ -1831,13 +1815,13 @@ mod tests {
     #[test]
     fn restore_from_checkpoint_is_transparent() {
         let script = |restore_at: Option<usize>| {
-            let mut core = ServiceCore::new(config());
+            let mut core = ServiceCore::new(config()).unwrap();
             for i in 0..6 {
                 core.submit_job(if i % 2 == 0 { "a" } else { "b" }, job(1.5), &[])
                     .unwrap();
                 core.flush().unwrap();
                 if restore_at == Some(i) {
-                    let json = core.checkpoint_engine_json().unwrap();
+                    let json = core.checkpoint_engine_json();
                     core.restore_engine_json(&json).unwrap();
                 }
             }
@@ -1853,12 +1837,50 @@ mod tests {
     }
 
     #[test]
+    fn restore_before_the_first_round_is_transparent() {
+        let script = |restore: bool| {
+            let mut core = ServiceCore::new(config()).unwrap();
+            let empty = core.checkpoint_engine_json();
+            core.submit_job("a", job(1.5), &[]).unwrap();
+            core.submit_capacity(0, 6).unwrap();
+            if restore {
+                // The engine over the empty world restores while the
+                // admitted job waits for its round.
+                core.restore_engine_json(&empty).unwrap();
+            }
+            core.flush().unwrap();
+            core.submit_job("b", job(1.0), &[0]).unwrap();
+            let report = core.drain().unwrap();
+            (
+                serde_json::to_string(&report.metrics).unwrap(),
+                report.trace.to_json(),
+            )
+        };
+        assert_eq!(script(false), script(true));
+    }
+
+    #[test]
+    fn a_machine_the_engine_cannot_model_is_refused_up_front() {
+        for capacities in [vec![], vec![4, 0]] {
+            let config = ServeConfig {
+                capacities,
+                ..config()
+            };
+            assert!(ServiceCore::new(config.clone()).is_err());
+            assert!(matches!(
+                ServiceCore::open(config),
+                Err(RecoverError::Config(_))
+            ));
+        }
+    }
+
+    #[test]
     fn restore_rejects_garbage_and_mismatched_checkpoints() {
-        let mut core = ServiceCore::new(config());
+        let mut core = ServiceCore::new(config()).unwrap();
         assert!(core.restore_engine_json("{not json").is_err());
         core.submit_job("a", job(1.0), &[]).unwrap();
         core.flush().unwrap();
-        let json = core.checkpoint_engine_json().unwrap();
+        let json = core.checkpoint_engine_json();
         // A world-size mismatch is refused.
         core.submit_job("a", job(1.0), &[]).unwrap();
         core.flush().unwrap();
@@ -1936,7 +1958,8 @@ mod tests {
             capacities: vec![4, 4],
             tick: 1.0,
             ..ServeConfig::default()
-        });
+        })
+        .unwrap();
         script(&mut reference);
         reference.submit_job("a", job(3.0), &[]).unwrap();
 
@@ -1997,7 +2020,7 @@ mod tests {
 
     #[test]
     fn plain_cores_stay_log_free() {
-        let mut core = ServiceCore::new(config());
+        let mut core = ServiceCore::new(config()).unwrap();
         core.submit_job("a", job(1.0), &[]).unwrap();
         core.flush().unwrap();
         let status = core.durability_status();
@@ -2011,10 +2034,10 @@ mod tests {
         // A checkpoint taken earlier can cover the same *number* of jobs but
         // predate history the ledger already archived; restoring it would
         // rewind the engine and replay completions into metrics and trace.
-        let mut core = ServiceCore::new(config());
+        let mut core = ServiceCore::new(config()).unwrap();
         core.submit_job("a", job(50.0), &[]).unwrap();
         core.flush().unwrap();
-        let stale = core.checkpoint_engine_json().unwrap();
+        let stale = core.checkpoint_engine_json();
         // Capacity-only rounds: the world size stays 1, but new events land
         // in the ledger and virtual time advances.
         core.submit_capacity(0, 2).unwrap();

@@ -194,6 +194,9 @@ pub struct WalScan {
 /// behind.
 #[derive(Debug)]
 pub enum RecoverError {
+    /// The configuration describes a machine the service cannot run (no
+    /// resource types, or a zero capacity).
+    Config(String),
     /// The durability directory or its files could not be read or written.
     Io(std::io::Error),
     /// A checkpoint file exists but cannot be used (unparsable, or its
@@ -213,6 +216,7 @@ pub enum RecoverError {
 impl fmt::Display for RecoverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            RecoverError::Config(d) => write!(f, "invalid configuration: {d}"),
             RecoverError::Io(e) => write!(f, "recovery I/O error: {e}"),
             RecoverError::Checkpoint(d) => write!(f, "unusable checkpoint: {d}"),
             RecoverError::Replay { seq, detail } => {

@@ -345,7 +345,7 @@ fn crash_mid_retry_backoff_recovers_byte_identical() {
     let mut naive = NaiveService::new(plain.clone());
     let want_replies: Vec<String> = ops.iter().map(|op| apply(&mut naive, op)).collect();
     let want_quarantine = {
-        let mut probe = ServiceCore::new(plain.clone());
+        let mut probe = ServiceCore::new(plain.clone()).unwrap();
         for op in &ops {
             apply(&mut probe, op);
         }
@@ -367,7 +367,7 @@ fn crash_mid_retry_backoff_recovers_byte_identical() {
         "the two uninterrupted cores disagree on the quarantine"
     );
     let want_fp = {
-        let mut probe = ServiceCore::new(plain.clone());
+        let mut probe = ServiceCore::new(plain.clone()).unwrap();
         for op in &ops {
             apply(&mut probe, op);
         }
@@ -450,7 +450,7 @@ fn frame_ends(bytes: &[u8]) -> Vec<u64> {
 /// fed the logged inputs through the public API. What recovery of a log cut
 /// to `records` must be byte-identical to.
 fn reference_for_prefix(records: &[WalRecord]) -> (String, String, String) {
-    let mut core = ServiceCore::new(plain_config());
+    let mut core = ServiceCore::new(plain_config()).unwrap();
     for record in records {
         match &record.op {
             WalOp::Job { tenant, job, deps } => {

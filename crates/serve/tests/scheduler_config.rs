@@ -47,7 +47,8 @@ fn run(
         tick: 1.0,
         scheduler: scheduler(allocator),
         ..ServeConfig::default()
-    });
+    })
+    .unwrap();
     for dag in dags {
         let edges: Vec<(usize, usize)> = dag.dag.edges().collect();
         core.submit_dag("t", dag.jobs.clone(), &edges).unwrap();

@@ -33,7 +33,8 @@ fn long_lived_service_stays_flat_per_round() {
         perturbation: PerturbationModel::Multiplicative { sigma: 0.2 },
         max_pending_jobs: submissions + 1,
         ..ServeConfig::default()
-    });
+    })
+    .unwrap();
 
     let mut round_times = Vec::with_capacity(submissions);
     let mut peak_retained = 0usize;

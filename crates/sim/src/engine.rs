@@ -29,7 +29,7 @@ use crate::failure::{FailCause, FailurePlan, FailureSampler, Outage, RetryPolicy
 use crate::perturb::{PerturbationModel, Perturber};
 use crate::policy::Policy;
 use crate::scenario::Scenario;
-use crate::source::{EventSource, ScenarioSource, SourceEvent};
+use crate::source::{EventFeed, SourceEvent};
 use crate::trace::{RealizedTrace, StressStats, TraceEvent};
 use mrls_core::{CoreError, EventQueue, ResourceState, Schedule, ScheduledJob};
 use mrls_model::{Allocation, Instance, MoldableJob, SystemConfig};
@@ -174,12 +174,6 @@ impl SimWorld {
     pub fn is_ready(&self, j: usize) -> bool {
         self.ready.binary_search(&j).is_ok()
     }
-
-    /// `true` iff job `j` was abandoned (its retry budget, or an ancestor's,
-    /// is exhausted).
-    pub fn is_abandoned(&self, j: usize) -> bool {
-        self.abandoned[j]
-    }
 }
 
 /// The world state a policy observes: the [`SimWorld`] (dereferenced
@@ -229,13 +223,13 @@ impl Default for SimConfig {
 /// How a [`SimRun::drive`] call ended (errors are reported separately).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunStatus {
-    /// Every job of the instance completed and the source is exhausted.
+    /// Every job of the instance completed and the feed is empty.
     Complete,
     /// The stop time was reached; more events are pending.
     Paused,
-    /// The source is exhausted and nothing is running, but incomplete jobs
+    /// The feed is empty and nothing is running, but incomplete jobs
     /// remain, all blocked (directly or transitively) on unreleased jobs —
-    /// a live source may still feed the releases later.
+    /// a live feed may still carry the releases later.
     Idle,
 }
 
@@ -265,8 +259,8 @@ impl Simulator {
         policy: &mut dyn Policy,
     ) -> Result<RealizedTrace, SimError> {
         let plan = normalize_plan(instance, plan)?;
-        let (mut run, mut source) = self.start_owned(instance.clone(), plan)?;
-        match run.drive(policy, &mut source)? {
+        let (mut run, mut feed) = self.start_owned(instance.clone(), plan)?;
+        match run.drive(policy, &mut feed)? {
             RunStatus::Complete => Ok(run.into_trace(policy.label())),
             RunStatus::Paused | RunStatus::Idle => Err(SimError::Stalled {
                 time: run.core.world.now,
@@ -278,13 +272,13 @@ impl Simulator {
     /// Begins an incremental run of `plan` (which must be job-indexed — see
     /// [`normalize_plan`]) under the configured scenario, returning the
     /// paused driver (holding its own copy of the instance and plan) plus
-    /// the scenario's event source. Drive it with [`SimRun::drive`] /
+    /// the scenario's event feed. Drive it with [`SimRun::drive`] /
     /// [`SimRun::drive_until`].
     pub fn start(
         &self,
         instance: &Instance,
         plan: &Schedule,
-    ) -> Result<(SimRun, ScenarioSource), SimError> {
+    ) -> Result<(SimRun, EventFeed), SimError> {
         self.start_owned(instance.clone(), plan.clone())
     }
 
@@ -292,7 +286,7 @@ impl Simulator {
         &self,
         instance: Instance,
         plan: Schedule,
-    ) -> Result<(SimRun, ScenarioSource), SimError> {
+    ) -> Result<(SimRun, EventFeed), SimError> {
         let n = instance.num_jobs();
         self.config
             .scenario
@@ -309,19 +303,19 @@ impl Simulator {
             self.config.max_events,
             released,
         )?;
-        Ok((run, ScenarioSource::new(&self.config.scenario, n)))
+        Ok((run, EventFeed::from_scenario(&self.config.scenario, n)))
     }
 
     /// Resumes a checkpointed run against the configured scenario, returning
-    /// the driver (holding its own copy of the instance and plan) plus a
-    /// scenario source fast-forwarded past every event the checkpointed run
-    /// already consumed.
+    /// the driver (holding its own copy of the instance and plan) plus the
+    /// scenario's feed without the events the checkpointed run already
+    /// consumed.
     pub fn resume(
         &self,
         instance: &Instance,
         plan: &Schedule,
         snapshot: &SimSnapshot,
-    ) -> Result<(SimRun, ScenarioSource), SimError> {
+    ) -> Result<(SimRun, EventFeed), SimError> {
         let n = instance.num_jobs();
         self.config
             .scenario
@@ -334,8 +328,8 @@ impl Simulator {
             self.config.perturbation.clone(),
             self.config.max_events,
         )?;
-        let source = ScenarioSource::resume_at(&self.config.scenario, n, snapshot.now);
-        Ok((run, source))
+        let feed = EventFeed::resume_at(&self.config.scenario, n, snapshot.now);
+        Ok((run, feed))
     }
 }
 
@@ -727,9 +721,13 @@ impl RunCore {
                     && remaining_preds[j] == 0
             })
             .collect();
-        let mut alloc_used = snapshot.alloc_used.clone();
-        let plan_allocs = plan.allocations();
-        alloc_used.extend(plan_allocs[m..].iter().cloned());
+        // Started and abandoned jobs keep the allocation they ran (or last
+        // were planned) with; every other job runs with the plan it is
+        // resumed with, as `SimRun::apply_plan_updates` would install it.
+        let mut alloc_used = plan.allocations();
+        for j in (0..m).filter(|&j| started[j] || abandoned[j]) {
+            alloc_used[j] = snapshot.alloc_used[j].clone();
+        }
         let mut start = snapshot.start.clone();
         let mut finish = snapshot.finish.clone();
         let mut nominal = snapshot.nominal.clone();
@@ -878,7 +876,7 @@ impl RunCore {
         instance: &Instance,
         plan: &Schedule,
         policy: &mut dyn Policy,
-        source: &mut dyn EventSource,
+        feed: &mut EventFeed,
         t_stop: Option<f64>,
         init_policy: bool,
     ) -> Result<RunStatus, SimError> {
@@ -900,7 +898,7 @@ impl RunCore {
                 }
             }
 
-            let src_next = source.next_time();
+            let src_next = feed.next_time();
             if self.num_completed + self.num_abandoned == n && src_next.is_none() {
                 return Ok(RunStatus::Complete);
             }
@@ -917,7 +915,7 @@ impl RunCore {
             }
 
             // Advance to the next event: the earliest pending completion
-            // (heap peek, O(1)), backoff expiry, outage, or source event.
+            // (heap peek, O(1)), backoff expiry, outage, or fed event.
             let mut t_next = match self.completions.peek() {
                 Some((f, _)) => f,
                 None => f64::INFINITY,
@@ -937,7 +935,7 @@ impl RunCore {
                 // unreleased, waiting on one, or ready: a non-empty ready
                 // set means jobs the policy can never start (stall), while
                 // an empty one means everything traces back to an
-                // unreleased job a live source may still feed (idle).
+                // unreleased job a live feed may still carry (idle).
                 return if self.world.ready.is_empty() {
                     Ok(RunStatus::Idle)
                 } else {
@@ -1069,7 +1067,7 @@ impl RunCore {
             }
 
             let (mut releases, mut capacity_changes) = (0u64, 0u64);
-            for ev in source.pop_until(self.world.now + EPS) {
+            for ev in feed.pop_until(self.world.now + EPS) {
                 match ev {
                     SourceEvent::Release { job, .. } => {
                         releases += 1;
@@ -1269,7 +1267,7 @@ impl RunCore {
 }
 
 /// An in-flight simulation: the world state plus the per-job realized
-/// record, driven incrementally against an [`EventSource`]. The run **owns**
+/// record, driven incrementally against an [`EventFeed`]. The run **owns**
 /// its instance and plan, so it can outlive the code that built them: it
 /// can be paused, checkpointed and resumed, and it can be kept across
 /// interaction rounds while its world grows in place — no
@@ -1319,8 +1317,10 @@ impl SimRun {
     /// Resumes a checkpointed run. The instance may have *grown* since the
     /// checkpoint (jobs appended at the end, with edges only among new jobs
     /// or from pre-existing jobs to new ones — never into pre-snapshot
-    /// jobs); appended jobs start unreleased and are fed in as
-    /// [`SourceEvent::Release`] events.
+    /// jobs); appended jobs start unreleased and are released through the
+    /// feed ([`EventFeed::release`]). Started and abandoned jobs keep the
+    /// snapshot's `alloc_used` record; every other job takes its allocation
+    /// from `plan`.
     ///
     /// The perturbation stream is reconstructed by replaying
     /// `snapshot.perturber_realizations` draws; a caller resuming round
@@ -1478,17 +1478,17 @@ impl SimRun {
         self.core.checkpoint()
     }
 
-    /// Drives the run until every job completed and the source is exhausted
+    /// Drives the run until every job completed and the feed is empty
     /// ([`RunStatus::Complete`]) or nothing more can happen
     /// ([`RunStatus::Idle`]). `policy` is (re-)initialised via
     /// [`Policy::on_start`] at the beginning of every drive call.
     pub fn drive(
         &mut self,
         policy: &mut dyn Policy,
-        source: &mut dyn EventSource,
+        feed: &mut EventFeed,
     ) -> Result<RunStatus, SimError> {
         self.core
-            .drive_inner(&self.instance, &self.plan, policy, source, None, true)
+            .drive_inner(&self.instance, &self.plan, policy, feed, None, true)
     }
 
     /// Like [`SimRun::drive`], but stops (returning [`RunStatus::Paused`])
@@ -1496,17 +1496,11 @@ impl SimRun {
     pub fn drive_until(
         &mut self,
         policy: &mut dyn Policy,
-        source: &mut dyn EventSource,
+        feed: &mut EventFeed,
         t_stop: f64,
     ) -> Result<RunStatus, SimError> {
-        self.core.drive_inner(
-            &self.instance,
-            &self.plan,
-            policy,
-            source,
-            Some(t_stop),
-            true,
-        )
+        self.core
+            .drive_inner(&self.instance, &self.plan, policy, feed, Some(t_stop), true)
     }
 
     /// Drives the run *without* re-initialising the policy: unlike
@@ -1522,11 +1516,11 @@ impl SimRun {
     pub fn drive_prepared(
         &mut self,
         policy: &mut dyn Policy,
-        source: &mut dyn EventSource,
+        feed: &mut EventFeed,
         t_stop: Option<f64>,
     ) -> Result<RunStatus, SimError> {
         self.core
-            .drive_inner(&self.instance, &self.plan, policy, source, t_stop, false)
+            .drive_inner(&self.instance, &self.plan, policy, feed, t_stop, false)
     }
 
     /// Grows the owned world in place: `system` raises the capacity bounds
@@ -1536,7 +1530,7 @@ impl SimRun {
     /// the appended block, and `entries` are the appended jobs' plan entries
     /// (placeholders are fine; they are replaced by the next
     /// [`SimRun::apply_plan_updates`]). Appended jobs start unreleased —
-    /// feed them in as [`SourceEvent::Release`] events.
+    /// release them through the feed ([`EventFeed::release`]).
     pub fn grow(
         &mut self,
         system: SystemConfig,

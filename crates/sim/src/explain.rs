@@ -27,7 +27,7 @@
 //! Everything is virtual time, so two same-seed runs produce byte-identical
 //! reports — the standing span-determinism invariant.
 
-use crate::trace::{RealizedTrace, TraceEvent};
+use crate::trace::{micros, write_job_lanes, RealizedTrace, TraceEvent};
 use mrls_core::bounds::combinatorial_lower_bound;
 use mrls_core::EPS;
 use mrls_model::Instance;
@@ -558,68 +558,30 @@ fn critical_path_blame(
 /// decomposition as `args` (shown in the viewer's detail pane), packed
 /// greedily onto lanes; critical-path jobs are additionally marked.
 pub fn to_chrome_trace_with_blame(trace: &RealizedTrace, report: &ExplainReport) -> String {
-    fn us(t: f64) -> u64 {
-        (t * 1e6).round().max(0.0) as u64
-    }
     let mut out = mrls_obs::chrome::ChromeTrace::new();
     out.process_name(0, &format!("mrls explain ({})", report.policy));
     out.process_name(1, "mrls jobs (blame-annotated)");
 
     let on_path: std::collections::BTreeSet<usize> =
         report.critical_path.steps.iter().map(|s| s.job).collect();
-
-    let mut spans: Vec<_> = trace
-        .realized
-        .jobs
-        .iter()
-        .filter(|s| s.start.is_finite() && s.finish.is_finite())
-        .collect();
-    spans.sort_by(|a, b| {
-        a.start
-            .partial_cmp(&b.start)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.job.cmp(&b.job))
-    });
-    let mut lane_free: Vec<f64> = Vec::new();
-    for s in spans {
-        let lane = match lane_free.iter().position(|&f| f <= s.start) {
-            Some(k) => k,
-            None => {
-                lane_free.push(f64::NEG_INFINITY);
-                lane_free.len() - 1
-            }
-        };
-        lane_free[lane] = s.finish;
+    write_job_lanes(&mut out, &trace.realized, |s| {
         let span = &report.jobs[s.job];
-        let mut args: Vec<(&str, String)> = vec![("wait", format!("{}", span.wait()))];
+        let mut args = vec![("wait".to_string(), format!("{}", span.wait()))];
         // One arg per blame category the job actually accrued, in stable
         // (sorted) order; the viewer shows them in the detail pane.
         let mut per_job = BlameTotals::new();
         per_job.add_segments(&span.segments);
-        let rendered: Vec<(String, String)> = per_job
-            .by_category
-            .iter()
-            .map(|(k, v)| (format!("blame.{k}"), format!("{v}")))
-            .collect();
-        for (k, v) in &rendered {
-            args.push((k.as_str(), v.clone()));
-        }
-        if on_path.contains(&s.job) {
-            args.push(("critical_path", "true".to_string()));
-        }
-        out.complete_with_args(
-            &format!("job {} {}", s.job, s.alloc),
-            "job",
-            1,
-            lane as u64,
-            us(s.start),
-            us(s.finish - s.start).max(1),
-            &args,
+        args.extend(
+            per_job
+                .by_category
+                .iter()
+                .map(|(k, v)| (format!("blame.{k}"), format!("{v}"))),
         );
-    }
-    for (lane, _) in lane_free.iter().enumerate() {
-        out.thread_name(1, lane as u64, &format!("lane {lane}"));
-    }
+        if on_path.contains(&s.job) {
+            args.push(("critical_path".to_string(), "true".to_string()));
+        }
+        args
+    });
     for ev in &trace.events {
         if let TraceEvent::Rescheduled {
             time,
@@ -632,7 +594,7 @@ pub fn to_chrome_trace_with_blame(trace: &RealizedTrace, report: &ExplainReport)
                 "reschedule",
                 0,
                 0,
-                us(*time),
+                micros(*time),
             );
         }
     }

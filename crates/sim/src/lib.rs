@@ -30,16 +30,17 @@
 //! capacity/precedence feasibility, and planned-vs-realized stress
 //! statistics ([`StressStats`]).
 //!
-//! External events reach the engine through an [`EventSource`] ([`source`]):
-//! [`ScenarioSource`] replays a pre-generated [`Scenario`], while
-//! [`ChannelSource`] is fed live over an `mpsc` channel (the `mrls-serve`
-//! online service, via the long-lived [`ChannelFeeder`]). The incremental
-//! driver ([`SimRun`]) owns its instance and plan. It can be paused,
-//! checkpointed to a serialisable [`SimSnapshot`], and resumed — even
-//! against an instance that has since grown by appended jobs — or kept live
-//! across interaction rounds while its world grows in place. Processed
-//! events can be **harvested** out of the retained log so long-lived runs
-//! and their checkpoints stay O(live state) instead of O(history).
+//! External events (releases and capacity changes) reach a run through one
+//! [`EventFeed`] ([`source`]): built from a pre-generated [`Scenario`], or
+//! pushed between drive calls (the `mrls-serve` online service). The
+//! incremental driver ([`SimRun`]) owns its instance and plan. It can be
+//! paused, checkpointed to a serialisable [`SimSnapshot`], and resumed —
+//! even against an instance that has since grown by appended jobs — or kept
+//! live across interaction rounds while its world grows in place. A resumed
+//! job that has neither started nor been abandoned runs with the allocation
+//! of the plan it is resumed with. Processed events can be **harvested** out
+//! of the retained log so long-lived runs and their checkpoints stay
+//! O(live state) instead of O(history).
 //!
 //! Two runs with the same seed produce byte-identical trace JSON.
 //!
@@ -94,5 +95,5 @@ pub use failure::{FailCause, FailureModel, FailurePlan, FailureSampler, Outage, 
 pub use perturb::{PerturbationModel, Perturber};
 pub use policy::{FullReschedulePolicy, Policy, PolicyKind, ReactiveListPolicy, StaticPolicy};
 pub use scenario::{CapacityChange, Scenario};
-pub use source::{ChannelFeeder, ChannelSource, EventSource, ScenarioSource, SourceEvent};
+pub use source::{EventFeed, SourceEvent};
 pub use trace::{RealizedTrace, StressStats, TraceEvent};

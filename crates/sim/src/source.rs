@@ -1,22 +1,24 @@
-//! External-event sources: where online arrivals and capacity changes come
+//! The external-event feed: where online arrivals and capacity changes come
 //! from.
 //!
-//! The engine used to read arrivals and capacity changes straight out of a
-//! pre-generated [`Scenario`]. [`EventSource`] abstracts that feed so the
-//! same drive loop serves two worlds:
+//! Algorithm 2 acts at time zero and at every completion; online, the engine
+//! also acts at two kinds of external event, job releases and capacity
+//! changes. Both reach a run through one [`EventFeed`], whoever produces
+//! them:
 //!
-//! * [`ScenarioSource`] — the batch setting: every event is known up front
-//!   (release times, timed capacity drops), replayed in time order.
-//! * [`ChannelSource`] — the live setting: events are pushed into an
-//!   [`std::sync::mpsc`] channel while the engine runs, as `mrls-serve` does
-//!   when it stamps freshly admitted submissions with virtual times.
+//! * the batch setting builds the feed from a pre-generated [`Scenario`]
+//!   ([`EventFeed::from_scenario`], or [`EventFeed::resume_at`] for a run
+//!   resumed from a checkpoint);
+//! * the live setting pushes events between drive calls
+//!   ([`EventFeed::release`], [`EventFeed::capacity`]), as `mrls-serve` does
+//!   when it stamps a round's admitted submissions with one virtual time.
 //!
-//! A source must yield events in nondecreasing time order; within one
-//! instant, releases before capacity changes (the order the engine applies).
+//! Each kind is kept in its own time-ordered queue, so within one instant
+//! releases come before capacity changes (the order the engine applies).
 
-use crate::scenario::{CapacityChange, Scenario};
+use crate::engine::EPS;
+use crate::scenario::Scenario;
 use std::collections::VecDeque;
-use std::sync::mpsc::{Receiver, Sender};
 
 /// One external event fed into the engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,184 +41,97 @@ pub enum SourceEvent {
     },
 }
 
-impl SourceEvent {
-    /// The virtual time of the event.
-    pub fn time(&self) -> f64 {
-        match self {
-            SourceEvent::Release { time, .. } | SourceEvent::Capacity { time, .. } => *time,
-        }
+/// The pending external events of a run, consumed by the engine in time
+/// order: releases and capacity changes, each in a time-ordered queue.
+#[derive(Debug, Clone, Default)]
+pub struct EventFeed {
+    releases: VecDeque<(f64, usize)>,
+    capacities: VecDeque<(f64, usize, u64)>,
+}
+
+impl EventFeed {
+    /// An empty feed, for events pushed while the run is live.
+    pub fn new() -> Self {
+        EventFeed::default()
     }
-}
 
-/// A feed of external events, consumed by the engine in time order.
-pub trait EventSource {
-    /// The time of the earliest pending event, if any is known right now.
-    fn next_time(&mut self) -> Option<f64>;
-
-    /// Removes and returns every pending event with time `<= t`, releases
-    /// first, then capacity changes, each sub-sequence in time order.
-    fn pop_until(&mut self, t: f64) -> Vec<SourceEvent>;
-}
-
-/// The pre-generated source: replays a [`Scenario`]'s release times and
-/// capacity changes.
-#[derive(Debug, Clone)]
-pub struct ScenarioSource {
-    arrivals: Vec<(f64, usize)>,
-    next_arrival: usize,
-    caps: Vec<CapacityChange>,
-    next_cap: usize,
-}
-
-impl ScenarioSource {
-    /// Builds the source for an `n`-job instance. Jobs with release time
-    /// `<= 0` are *not* emitted — they are released before the run starts
+    /// The feed of a [`Scenario`] for an `n`-job instance. Jobs with release
+    /// time `<= 0` are *not* fed — they are released before the run starts
     /// (see [`Scenario::release_time`]).
-    pub fn new(scenario: &Scenario, n: usize) -> Self {
-        let mut arrivals: Vec<(f64, usize)> = (0..n)
+    pub fn from_scenario(scenario: &Scenario, n: usize) -> Self {
+        let mut releases: Vec<(f64, usize)> = (0..n)
             .map(|j| (scenario.release_time(j), j))
             .filter(|&(t, _)| t > 0.0)
             .collect();
-        arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut caps = scenario.capacity_changes.clone();
-        caps.sort_by(|a, b| a.time.total_cmp(&b.time).then(a.resource.cmp(&b.resource)));
-        ScenarioSource {
-            arrivals,
-            next_arrival: 0,
-            caps,
-            next_cap: 0,
+        releases.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut capacities: Vec<(f64, usize, u64)> = scenario
+            .capacity_changes
+            .iter()
+            .map(|c| (c.time, c.resource, c.capacity))
+            .collect();
+        capacities.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        EventFeed {
+            releases: releases.into(),
+            capacities: capacities.into(),
         }
     }
 
-    /// Builds the source for a run resumed at virtual time `now`: events the
-    /// checkpointed run already consumed (time `<= now`, within the engine's
-    /// grouping tolerance) are skipped.
+    /// The scenario's feed for a run resumed at virtual time `now`: events
+    /// the checkpointed run already consumed (time `<= now`, within the
+    /// engine's grouping tolerance) are dropped.
     pub fn resume_at(scenario: &Scenario, n: usize, now: f64) -> Self {
-        let mut source = ScenarioSource::new(scenario, n);
-        let cut = now + crate::engine::EPS;
-        while source.next_arrival < source.arrivals.len()
-            && source.arrivals[source.next_arrival].0 <= cut
-        {
-            source.next_arrival += 1;
-        }
-        while source.next_cap < source.caps.len() && source.caps[source.next_cap].time <= cut {
-            source.next_cap += 1;
-        }
-        source
-    }
-}
-
-impl EventSource for ScenarioSource {
-    fn next_time(&mut self) -> Option<f64> {
-        let a = self.arrivals.get(self.next_arrival).map(|&(t, _)| t);
-        let c = self.caps.get(self.next_cap).map(|c| c.time);
-        match (a, c) {
-            (Some(a), Some(c)) => Some(a.min(c)),
-            (Some(t), None) | (None, Some(t)) => Some(t),
-            (None, None) => None,
-        }
+        let mut feed = EventFeed::from_scenario(scenario, n);
+        feed.pop_until(now + EPS);
+        feed
     }
 
-    fn pop_until(&mut self, t: f64) -> Vec<SourceEvent> {
+    /// Feeds a job release at virtual time `time`. Releases must be pushed
+    /// in nondecreasing time order.
+    pub fn release(&mut self, time: f64, job: usize) {
+        debug_assert!(
+            self.releases.back().is_none_or(|r| r.0 <= time),
+            "fed out of order"
+        );
+        self.releases.push_back((time, job));
+    }
+
+    /// Feeds an absolute capacity change at virtual time `time`. Changes
+    /// must be pushed in nondecreasing time order.
+    pub fn capacity(&mut self, time: f64, resource: usize, capacity: u64) {
+        debug_assert!(
+            self.capacities.back().is_none_or(|c| c.0 <= time),
+            "fed out of order"
+        );
+        self.capacities.push_back((time, resource, capacity));
+    }
+
+    /// The time of the earliest pending event, if any.
+    pub fn next_time(&self) -> Option<f64> {
+        let r = self.releases.front().map(|r| r.0);
+        let c = self.capacities.front().map(|c| c.0);
+        r.into_iter().chain(c).reduce(f64::min)
+    }
+
+    /// `true` iff no event is pending.
+    pub fn is_empty(&self) -> bool {
+        self.releases.is_empty() && self.capacities.is_empty()
+    }
+
+    /// Removes and returns every pending event with time `<= t`: releases
+    /// first, then capacity changes, each in time order.
+    pub fn pop_until(&mut self, t: f64) -> Vec<SourceEvent> {
         let mut out = Vec::new();
-        while self.next_arrival < self.arrivals.len() && self.arrivals[self.next_arrival].0 <= t {
-            let (time, job) = self.arrivals[self.next_arrival];
-            self.next_arrival += 1;
+        while let Some(&(time, job)) = self.releases.front().filter(|r| r.0 <= t) {
+            self.releases.pop_front();
             out.push(SourceEvent::Release { time, job });
         }
-        while self.next_cap < self.caps.len() && self.caps[self.next_cap].time <= t {
-            let c = self.caps[self.next_cap].clone();
-            self.next_cap += 1;
+        while let Some(&(time, resource, capacity)) = self.capacities.front().filter(|c| c.0 <= t) {
+            self.capacities.pop_front();
             out.push(SourceEvent::Capacity {
-                time: c.time,
-                resource: c.resource,
-                capacity: c.capacity,
+                time,
+                resource,
+                capacity,
             });
-        }
-        out
-    }
-}
-
-/// The live source: events arrive over an [`std::sync::mpsc`] channel while
-/// the engine runs. The feeder must push events in nondecreasing time order
-/// (and releases before capacity changes within one instant); `mrls-serve`
-/// guarantees this by stamping each batching round with a single virtual
-/// time.
-#[derive(Debug)]
-pub struct ChannelSource {
-    rx: Receiver<SourceEvent>,
-    buffer: VecDeque<SourceEvent>,
-}
-
-impl ChannelSource {
-    /// Wraps a receiver whose sender stamps events with nondecreasing times.
-    pub fn new(rx: Receiver<SourceEvent>) -> Self {
-        ChannelSource {
-            rx,
-            buffer: VecDeque::new(),
-        }
-    }
-
-    /// Creates a connected `(sender, source)` pair.
-    pub fn channel() -> (Sender<SourceEvent>, ChannelSource) {
-        let (tx, rx) = std::sync::mpsc::channel();
-        (tx, ChannelSource::new(rx))
-    }
-
-    /// Creates a connected `(feeder, source)` pair — the long-lived shape:
-    /// a persistent run keeps both ends alive across interaction rounds and
-    /// feeds each round's events through the [`ChannelFeeder`].
-    pub fn feeder() -> (ChannelFeeder, ChannelSource) {
-        let (tx, source) = ChannelSource::channel();
-        (ChannelFeeder { tx }, source)
-    }
-
-    /// Moves everything currently in the channel into the local buffer
-    /// (non-blocking).
-    fn pump(&mut self) {
-        while let Ok(ev) = self.rx.try_recv() {
-            self.buffer.push_back(ev);
-        }
-    }
-}
-
-/// The sending half of a long-lived [`ChannelSource`]: typed helpers for
-/// feeding one interaction round's events (releases before capacity changes,
-/// all stamped with the round's single virtual time). Sends to a source
-/// whose run has been dropped are silently discarded, so teardown order does
-/// not matter.
-#[derive(Debug, Clone)]
-pub struct ChannelFeeder {
-    tx: Sender<SourceEvent>,
-}
-
-impl ChannelFeeder {
-    /// Feeds a job release at virtual time `time`.
-    pub fn release(&self, time: f64, job: usize) {
-        let _ = self.tx.send(SourceEvent::Release { time, job });
-    }
-
-    /// Feeds an absolute capacity change at virtual time `time`.
-    pub fn capacity(&self, time: f64, resource: usize, capacity: u64) {
-        let _ = self.tx.send(SourceEvent::Capacity {
-            time,
-            resource,
-            capacity,
-        });
-    }
-}
-
-impl EventSource for ChannelSource {
-    fn next_time(&mut self) -> Option<f64> {
-        self.pump();
-        self.buffer.front().map(SourceEvent::time)
-    }
-
-    fn pop_until(&mut self, t: f64) -> Vec<SourceEvent> {
-        self.pump();
-        let mut out = Vec::new();
-        while self.buffer.front().is_some_and(|ev| ev.time() <= t) {
-            out.push(self.buffer.pop_front().expect("front checked above"));
         }
         out
     }
@@ -231,10 +146,10 @@ mod tests {
         let scenario = Scenario::offline()
             .with_release_times(vec![0.0, 2.0, 1.0])
             .with_capacity_changes(vec![(1.0, 0, 2), (3.0, 0, 4)]);
-        let mut source = ScenarioSource::new(&scenario, 3);
-        assert_eq!(source.next_time(), Some(1.0));
+        let mut feed = EventFeed::from_scenario(&scenario, 3);
+        assert_eq!(feed.next_time(), Some(1.0));
         // Releases come before capacity changes at the same instant.
-        let batch = source.pop_until(1.0);
+        let batch = feed.pop_until(1.0);
         assert_eq!(
             batch,
             vec![
@@ -246,9 +161,9 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(source.next_time(), Some(2.0));
-        assert_eq!(source.pop_until(10.0).len(), 2);
-        assert_eq!(source.next_time(), None);
+        assert_eq!(feed.next_time(), Some(2.0));
+        assert_eq!(feed.pop_until(10.0).len(), 2);
+        assert_eq!(feed.next_time(), None);
     }
 
     #[test]
@@ -256,21 +171,23 @@ mod tests {
         let scenario = Scenario::offline()
             .with_release_times(vec![1.0, 2.0])
             .with_capacity_changes(vec![(1.5, 0, 2)]);
-        let mut source = ScenarioSource::resume_at(&scenario, 2, 1.5);
-        assert_eq!(source.next_time(), Some(2.0));
+        let mut feed = EventFeed::resume_at(&scenario, 2, 1.5);
+        assert_eq!(feed.next_time(), Some(2.0));
         assert_eq!(
-            source.pop_until(2.0),
+            feed.pop_until(2.0),
             vec![SourceEvent::Release { time: 2.0, job: 1 }]
         );
     }
 
     #[test]
     fn feeder_stamps_rounds_in_engine_order() {
-        let (feeder, mut source) = ChannelSource::feeder();
-        feeder.release(1.0, 0);
-        feeder.capacity(1.0, 0, 2);
+        let mut feed = EventFeed::new();
+        // A round pushes its capacity changes and releases at one stamp; the
+        // engine still sees releases first.
+        feed.capacity(1.0, 0, 2);
+        feed.release(1.0, 0);
         assert_eq!(
-            source.pop_until(1.0),
+            feed.pop_until(1.0),
             vec![
                 SourceEvent::Release { time: 1.0, job: 0 },
                 SourceEvent::Capacity {
@@ -280,32 +197,25 @@ mod tests {
                 },
             ]
         );
-        // A later round through the same feeder; dropping the source makes
-        // further sends no-ops rather than panics.
-        feeder.release(2.0, 1);
-        assert_eq!(source.next_time(), Some(2.0));
-        drop(source);
-        feeder.release(3.0, 2);
+        assert!(feed.is_empty());
+        // A later round through the same feed.
+        feed.release(2.0, 1);
+        assert_eq!(feed.next_time(), Some(2.0));
     }
 
     #[test]
     fn channel_source_buffers_pushed_events() {
-        let (tx, mut source) = ChannelSource::channel();
-        assert_eq!(source.next_time(), None);
-        tx.send(SourceEvent::Release { time: 0.5, job: 0 }).unwrap();
-        tx.send(SourceEvent::Capacity {
-            time: 0.5,
-            resource: 0,
-            capacity: 3,
-        })
-        .unwrap();
-        tx.send(SourceEvent::Release { time: 2.0, job: 1 }).unwrap();
-        assert_eq!(source.next_time(), Some(0.5));
-        assert_eq!(source.pop_until(1.0).len(), 2);
-        assert_eq!(source.next_time(), Some(2.0));
-        // Late pushes surface on the next poll.
-        tx.send(SourceEvent::Release { time: 2.0, job: 2 }).unwrap();
-        assert_eq!(source.pop_until(2.0).len(), 2);
-        assert_eq!(source.next_time(), None);
+        let mut feed = EventFeed::new();
+        assert_eq!(feed.next_time(), None);
+        feed.release(0.5, 0);
+        feed.capacity(0.5, 0, 3);
+        feed.release(2.0, 1);
+        assert_eq!(feed.next_time(), Some(0.5));
+        assert_eq!(feed.pop_until(1.0).len(), 2);
+        assert_eq!(feed.next_time(), Some(2.0));
+        // Later pushes surface on the next pop.
+        feed.release(2.0, 2);
+        assert_eq!(feed.pop_until(2.0).len(), 2);
+        assert_eq!(feed.next_time(), None);
     }
 }

@@ -1,7 +1,8 @@
 //! Typed event log and realized-schedule output of a simulation run.
 
-use mrls_core::Schedule;
+use mrls_core::{Schedule, ScheduledJob};
 use mrls_model::Allocation;
+use mrls_obs::chrome::ChromeTrace;
 use serde::{Deserialize, Serialize};
 
 /// One event in the realized execution, in the order the engine processed it.
@@ -152,55 +153,21 @@ impl RealizedTrace {
     /// reschedules become instant events on process 0, with capacity changes
     /// also emitted as counter samples so the viewer plots them as a series.
     pub fn to_chrome_trace_json(&self) -> String {
-        fn us(t: f64) -> u64 {
-            (t * 1e6).round().max(0.0) as u64
-        }
-        let mut trace = mrls_obs::chrome::ChromeTrace::new();
+        let mut trace = ChromeTrace::new();
         trace.process_name(0, &format!("mrls events ({})", self.policy));
         trace.process_name(1, "mrls jobs");
-
-        // Greedy lane packing: spans sorted by start reuse the first lane
-        // whose previous span already finished, so concurrent jobs render on
-        // separate rows without one row per job.
-        let mut spans: Vec<_> = self
-            .realized
-            .jobs
-            .iter()
-            .filter(|s| s.start.is_finite() && s.finish.is_finite())
-            .collect();
-        spans.sort_by(|a, b| {
-            a.start
-                .partial_cmp(&b.start)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.job.cmp(&b.job))
-        });
-        let mut lane_free: Vec<f64> = Vec::new();
-        for s in spans {
-            let lane = match lane_free.iter().position(|&f| f <= s.start) {
-                Some(k) => k,
-                None => {
-                    lane_free.push(f64::NEG_INFINITY);
-                    lane_free.len() - 1
-                }
-            };
-            lane_free[lane] = s.finish;
-            trace.complete(
-                &format!("job {} {}", s.job, s.alloc),
-                "job",
-                1,
-                lane as u64,
-                us(s.start),
-                us(s.finish - s.start).max(1),
-            );
-        }
-        for (lane, _) in lane_free.iter().enumerate() {
-            trace.thread_name(1, lane as u64, &format!("lane {lane}"));
-        }
+        write_job_lanes(&mut trace, &self.realized, |_| Vec::new());
 
         for ev in &self.events {
             match ev {
                 TraceEvent::JobReleased { time, job } => {
-                    trace.instant(&format!("release job {job}"), "arrival", 0, 0, us(*time));
+                    trace.instant(
+                        &format!("release job {job}"),
+                        "arrival",
+                        0,
+                        0,
+                        micros(*time),
+                    );
                 }
                 TraceEvent::CapacityChanged {
                     time,
@@ -212,12 +179,12 @@ impl RealizedTrace {
                         "capacity",
                         0,
                         0,
-                        us(*time),
+                        micros(*time),
                     );
                     trace.counter(
                         &format!("capacity[{resource}]"),
                         0,
-                        us(*time),
+                        micros(*time),
                         &[("capacity", *capacity)],
                     );
                 }
@@ -231,7 +198,7 @@ impl RealizedTrace {
                         "reschedule",
                         0,
                         0,
-                        us(*time),
+                        micros(*time),
                     );
                 }
                 TraceEvent::JobFailed {
@@ -245,7 +212,7 @@ impl RealizedTrace {
                         "failure",
                         0,
                         0,
-                        us(*time),
+                        micros(*time),
                     );
                 }
                 TraceEvent::JobRetried { time, job, attempt } => {
@@ -254,13 +221,68 @@ impl RealizedTrace {
                         "retry",
                         0,
                         0,
-                        us(*time),
+                        micros(*time),
                     );
                 }
                 TraceEvent::JobStarted { .. } | TraceEvent::JobCompleted { .. } => {}
             }
         }
         trace.to_json()
+    }
+}
+
+/// Virtual time in Chrome trace-event microseconds (1 time unit = 1 s =
+/// 1e6 µs), clamped at zero.
+pub(crate) fn micros(t: f64) -> u64 {
+    (t * 1e6).round().max(0.0) as u64
+}
+
+/// Writes every realized execution of `realized` as a complete span on
+/// process 1, with `args(job)` in the viewer's detail pane. Spans are
+/// packed greedily onto lanes (threads of process 1): sorted by start, each
+/// reuses the first lane whose previous span already finished, so
+/// concurrent jobs render on separate rows without one row per job. Jobs
+/// that never ran (NaN start or finish) are skipped.
+pub(crate) fn write_job_lanes(
+    out: &mut ChromeTrace,
+    realized: &Schedule,
+    mut args: impl FnMut(&ScheduledJob) -> Vec<(String, String)>,
+) {
+    let mut spans: Vec<&ScheduledJob> = realized
+        .jobs
+        .iter()
+        .filter(|s| s.start.is_finite() && s.finish.is_finite())
+        .collect();
+    spans.sort_by(|a, b| {
+        a.start
+            .partial_cmp(&b.start)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.job.cmp(&b.job))
+    });
+    let mut lane_free: Vec<f64> = Vec::new();
+    for s in spans {
+        let lane = match lane_free.iter().position(|&f| f <= s.start) {
+            Some(k) => k,
+            None => {
+                lane_free.push(f64::NEG_INFINITY);
+                lane_free.len() - 1
+            }
+        };
+        lane_free[lane] = s.finish;
+        let args = args(s);
+        let args: Vec<(&str, String)> = args.iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+        out.complete_with_args(
+            &format!("job {} {}", s.job, s.alloc),
+            "job",
+            1,
+            lane as u64,
+            micros(s.start),
+            micros(s.finish - s.start).max(1),
+            &args,
+        );
+    }
+    for lane in 0..lane_free.len() {
+        out.thread_name(1, lane as u64, &format!("lane {lane}"));
     }
 }
 

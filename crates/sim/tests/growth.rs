@@ -7,8 +7,7 @@ use mrls_core::{MrlsScheduler, ScheduledJob};
 use mrls_dag::Dag;
 use mrls_model::{Allocation, ExecTimeSpec, Instance, MoldableJob, SystemConfig};
 use mrls_sim::{
-    normalize_plan, ChannelSource, PerturbationModel, PolicyKind, RunStatus, SimError, SimRun,
-    SourceEvent,
+    normalize_plan, EventFeed, PerturbationModel, PolicyKind, RunStatus, SimError, SimRun,
 };
 
 /// A run over the chain 0 -> 1 plus an independent job 2 on a `[4, 4]`
@@ -38,9 +37,10 @@ fn paused_run() -> SimRun {
         vec![true, false, false],
     )
     .unwrap();
-    let (_tx, mut source) = ChannelSource::channel();
     let mut policy = PolicyKind::ReactiveList.build();
-    let status = run.drive_until(policy.as_mut(), &mut source, 0.0).unwrap();
+    let status = run
+        .drive_until(policy.as_mut(), &mut EventFeed::new(), 0.0)
+        .unwrap();
     assert_eq!(status, RunStatus::Paused);
     let state = run.state();
     assert_eq!(state.started, vec![true, false, false]);
@@ -200,13 +200,12 @@ fn a_valid_growth_still_completes() {
         vec![entry(3, vec![1, 1])],
     )
     .unwrap();
-    let (tx, mut source) = ChannelSource::channel();
+    let mut feed = EventFeed::new();
     for job in 1..4 {
-        tx.send(SourceEvent::Release { time: 0.0, job }).unwrap();
+        feed.release(0.0, job);
     }
-    drop(tx);
     let mut policy = PolicyKind::ReactiveList.build();
-    let status = run.drive(policy.as_mut(), &mut source).unwrap();
+    let status = run.drive(policy.as_mut(), &mut feed).unwrap();
     assert_eq!(status, RunStatus::Complete);
     assert_eq!(run.num_completed(), 4);
 }

@@ -1,13 +1,11 @@
-//! Driving the engine from a live, channel-fed event source: releases may
+//! Driving the engine from a live event feed: releases may
 //! arrive between drive calls, and a drained-but-incomplete world reports
 //! [`RunStatus::Idle`] (resumable) rather than a fatal stall.
 
 use mrls_core::MrlsScheduler;
 use mrls_dag::Dag;
 use mrls_model::{ExecTimeSpec, Instance, MoldableJob, SystemConfig};
-use mrls_sim::{
-    normalize_plan, ChannelSource, PerturbationModel, PolicyKind, RunStatus, SimRun, SourceEvent,
-};
+use mrls_sim::{normalize_plan, EventFeed, PerturbationModel, PolicyKind, RunStatus, SimRun};
 
 /// A two-job chain 0 -> 1 on a 2-type machine.
 fn chain_instance() -> Instance {
@@ -41,15 +39,15 @@ fn out_of_order_releases_idle_then_complete() {
 
     // The successor is released before its predecessor: nothing can run yet,
     // but the run is idle (the predecessor may still be fed), not stalled.
-    let (tx, mut source) = ChannelSource::channel();
-    tx.send(SourceEvent::Release { time: 0.0, job: 1 }).unwrap();
-    let status = run.drive(policy.as_mut(), &mut source).unwrap();
+    let mut feed = EventFeed::new();
+    feed.release(0.0, 1);
+    let status = run.drive(policy.as_mut(), &mut feed).unwrap();
     assert_eq!(status, RunStatus::Idle);
     assert_eq!(run.num_completed(), 0);
 
     // Feeding the predecessor unblocks the chain.
-    tx.send(SourceEvent::Release { time: 1.0, job: 0 }).unwrap();
-    let status = run.drive(policy.as_mut(), &mut source).unwrap();
+    feed.release(1.0, 0);
+    let status = run.drive(policy.as_mut(), &mut feed).unwrap();
     assert_eq!(status, RunStatus::Complete);
     assert_eq!(run.num_completed(), 2);
     let trace = run.into_trace("reactive-list");
