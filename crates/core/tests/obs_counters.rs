@@ -136,6 +136,9 @@ fn the_certified_bound_is_capped_at_the_decisions_l() {
 
 #[test]
 fn fptas_counters_are_deterministic_and_below_the_quadratic_scan() {
+    // A 300-job chain: the bucket cap binds, so the pre-check proves every
+    // feasibility test infeasible, no table is built, and the solve falls
+    // back to the local min-max heuristic.
     let n = 300;
     let instance = chain(n, 7);
     let first = plan_counters(&instance);
@@ -149,13 +152,26 @@ fn fptas_counters_are_deterministic_and_below_the_quadratic_scan() {
     assert_eq!(counter("plan.allocator.sp_fptas"), 1, "{first:?}");
     assert_eq!(counter("fptas.solves"), 1, "{first:?}");
     assert!(counter("fptas.feasibility_tests") >= 1, "{first:?}");
+    assert_eq!(
+        counter("fptas.tests_skipped"),
+        counter("fptas.feasibility_tests"),
+        "{first:?}"
+    );
+    assert_eq!(counter("fptas.series_nodes"), 0, "{first:?}");
+    assert_eq!(counter("fptas.heuristic_fallbacks"), 1, "{first:?}");
 
-    // The chain's DP has B + 1 buckets per table, B set by the bucket cap
-    // (the uncapped count, (1 + ε)·H/ε = 3 300 at ε = 0.1, exceeds it). The
-    // full scan evaluates (B + 1)(B + 2)/2 sums per series node.
-    let buckets = 200_000 / n as u64 + 4 * n as u64 + 16;
+    // A 100-job chain, whose DP runs: the uncapped count, (1 + ε)·H/ε ≥ 1 100
+    // at ε = 0.1, stays below the cap, so each table has B + 1 buckets with
+    // B ≥ 1 100. The full scan evaluates (B + 1)(B + 2)/2 sums per series
+    // node.
+    let n = 100;
+    let counters = plan_counters(&chain(n, 7));
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    assert_eq!(counter("fptas.heuristic_fallbacks"), 0, "{counters:?}");
+    let buckets = (11 * n as u64).min(200_000 / n as u64 + 4 * n as u64 + 16);
     let quadratic = counter("fptas.series_nodes") * (buckets + 1) * (buckets + 2) / 2;
     let candidates = counter("fptas.series_candidates");
+    assert!(quadratic > 0, "{counters:?}");
     assert!(
         candidates * 10 < quadratic,
         "{candidates} candidate sums against {quadratic} for the full scan"

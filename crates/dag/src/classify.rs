@@ -83,8 +83,11 @@ impl Dag {
     /// Returns the most specific [`GraphClass`] describing this DAG.
     ///
     /// Series-parallel membership is decided by [`crate::sp::SpDecomposition`],
-    /// which may cost `O(n^2)` for the transitive closure; all other checks
-    /// are linear.
+    /// reached only by graphs that are not forests. It builds the transitive
+    /// closure and its reverse (`O(n·m/64)` word operations and `n²/4`
+    /// bytes), then costs `O(k·⌈n/64⌉)` word operations per set of `k` nodes
+    /// it splits (see the [`crate::sp`] module docs); all other checks are
+    /// linear.
     pub fn classify(&self) -> GraphClass {
         if self.is_independent() {
             return GraphClass::Independent;

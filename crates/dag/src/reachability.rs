@@ -26,11 +26,11 @@ impl Reachability {
         let words = n.div_ceil(64);
         let mut bits = vec![0u64; n * words];
         let order = dag.topological_order();
+        // Row u = union of rows of successors, plus the successors
+        // themselves, built on one scratch row to appease the borrow checker.
+        let mut row = vec![0u64; words];
         for &u in order.iter().rev() {
-            // Row u = union of rows of successors, plus the successors
-            // themselves.
-            // Work on a scratch row to appease the borrow checker.
-            let mut row = vec![0u64; words];
+            row.fill(0);
             for &v in dag.successors(u) {
                 row[v / 64] |= 1u64 << (v % 64);
                 let src = &bits[v * words..(v + 1) * words];
@@ -41,6 +41,13 @@ impl Reachability {
             bits[u * words..(u + 1) * words].copy_from_slice(&row);
         }
         Reachability { n, words, bits }
+    }
+
+    /// Row `u` of the closure as bitset words: bit `v % 64` of word `v / 64`
+    /// is set iff `u` reaches `v`.
+    #[inline]
+    pub(crate) fn row(&self, u: NodeId) -> &[u64] {
+        &self.bits[u * self.words..(u + 1) * self.words]
     }
 
     /// Number of nodes.

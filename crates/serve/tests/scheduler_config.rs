@@ -9,7 +9,7 @@ use mrls_dag::GraphClass;
 use mrls_model::Instance;
 use mrls_serve::{DrainReport, RoundRecord, ServeConfig, ServiceCore};
 use mrls_sim::PolicyKind;
-use mrls_workload::InstanceRecipe;
+use mrls_workload::{DagRecipe, InstanceRecipe, JobRecipe, SystemRecipe};
 use std::time::Duration;
 
 /// A 16-job layered DAG for a d=2, p=8 machine, drawn from the first seed
@@ -113,4 +113,44 @@ fn failed_plans_fall_back_and_are_counted() {
             .sum();
         assert_eq!(by_cause, counter(total), "{:?}", snap.counters);
     }
+}
+
+/// One `SubmitDag` of a 1 000-job chain, an admissible request on which the
+/// FPTAS's bucket cap binds: its plan goes through the FPTAS, whose
+/// pre-check skips every feasibility test without building a table, so the
+/// solve returns the local min-max heuristic. `QueryMetrics` shows both,
+/// and no plan falls back.
+#[test]
+fn a_deep_chain_submission_plans_through_the_fptas_pre_check() {
+    let chain = InstanceRecipe {
+        system: SystemRecipe::Uniform { d: 2, p: 8 },
+        dag: DagRecipe::Chain { n: 1000 },
+        jobs: JobRecipe::default_mixed(),
+    }
+    .generate(5)
+    .instance;
+    let mut core = ServiceCore::new(ServeConfig {
+        capacities: vec![8, 8],
+        batch_window: Duration::ZERO,
+        tick: 1.0,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let edges: Vec<(usize, usize)> = chain.dag.edges().collect();
+    core.submit_dag("t", chain.jobs.clone(), &edges).unwrap();
+    core.flush().unwrap();
+    let report = core.drain().unwrap();
+    assert_eq!((report.submitted, report.completed), (1000, 1000));
+    assert!(report.feasible, "the realized schedule must validate");
+
+    let counters = core.obs_snapshot().counters;
+    let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
+    assert!(counter("plan.allocator.sp_fptas") >= 1, "{counters:?}");
+    assert_eq!(counter("serve.plan.fallbacks"), 0, "{counters:?}");
+    assert!(counter("fptas.tests_skipped") >= 1, "{counters:?}");
+    assert_eq!(
+        counter("fptas.heuristic_fallbacks"),
+        counter("fptas.solves"),
+        "{counters:?}"
+    );
 }
